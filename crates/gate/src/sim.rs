@@ -3,7 +3,8 @@
 use crate::netlist::{GateKind, GateNetlist, SignalId};
 use std::fmt;
 
-/// Two-valued combinational simulator.
+/// Two-valued combinational simulator: lane 0 of
+/// [`PackedSim`]'s compiled kernel.
 ///
 /// Flip-flop outputs are treated as extra inputs (the full-scan view); use
 /// [`CombSim::run_with_state`] to supply them, or [`CombSim::run`] to hold
@@ -26,13 +27,19 @@ use std::fmt;
 /// ```
 #[derive(Debug)]
 pub struct CombSim<'a> {
-    nl: &'a GateNetlist,
+    sim: PackedSim<'a>,
+}
+
+fn lane0(bits: &[bool]) -> Vec<u64> {
+    bits.iter().map(|&b| u64::from(b)).collect()
 }
 
 impl<'a> CombSim<'a> {
     /// Creates a simulator over `nl`.
     pub fn new(nl: &'a GateNetlist) -> Self {
-        CombSim { nl }
+        CombSim {
+            sim: PackedSim::new(nl),
+        }
     }
 
     /// Evaluates the netlist with flip-flops held at 0 and returns the
@@ -42,7 +49,7 @@ impl<'a> CombSim<'a> {
     ///
     /// Panics if `inputs.len()` differs from the number of primary inputs.
     pub fn run(&self, inputs: &[bool]) -> Vec<bool> {
-        let zeros = vec![false; self.nl.flip_flop_count()];
+        let zeros = vec![false; self.sim.ff_q.len()];
         self.run_with_state(inputs, &zeros).0
     }
 
@@ -53,20 +60,12 @@ impl<'a> CombSim<'a> {
     ///
     /// Panics on input or state length mismatch.
     pub fn run_with_state(&self, inputs: &[bool], state: &[bool]) -> (Vec<bool>, Vec<bool>) {
-        let values = self.eval_signals(inputs, state);
-        let outs = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| values[s.index()])
-            .collect();
-        let next = self
-            .nl
-            .flip_flops()
-            .iter()
-            .map(|q| values[self.nl.gate(*q).operands()[0].index()])
-            .collect();
-        (outs, next)
+        let v = self.sim.eval(&lane0(inputs), &lane0(state), None);
+        let bit = |s: &u32| v[*s as usize] & 1 != 0;
+        (
+            self.sim.outputs.iter().map(bit).collect(),
+            self.sim.ff_d.iter().map(bit).collect(),
+        )
     }
 
     /// Evaluates every signal; the result is indexed by [`SignalId::index`].
@@ -75,48 +74,29 @@ impl<'a> CombSim<'a> {
     ///
     /// Panics on input or state length mismatch.
     pub fn eval_signals(&self, inputs: &[bool], state: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input length");
-        assert_eq!(state.len(), self.nl.flip_flop_count(), "state length");
-        let mut v = vec![false; self.nl.gates().len()];
-        for ((_, s), val) in self.nl.inputs().iter().zip(inputs) {
-            v[s.index()] = *val;
-        }
-        for (q, val) in self.nl.flip_flops().iter().zip(state) {
-            v[q.index()] = *val;
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            if g.kind == GateKind::Const1 {
-                v[i] = true;
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            v[s.index()] = match g.kind {
-                GateKind::Not => !v[ops[0].index()],
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()] & v[ops[1].index()],
-                GateKind::Or2 => v[ops[0].index()] | v[ops[1].index()],
-                GateKind::Nand2 => !(v[ops[0].index()] & v[ops[1].index()]),
-                GateKind::Nor2 => !(v[ops[0].index()] | v[ops[1].index()]),
-                GateKind::Xor2 => v[ops[0].index()] ^ v[ops[1].index()],
-                GateKind::Xnor2 => !(v[ops[0].index()] ^ v[ops[1].index()]),
-                GateKind::Mux2 => {
-                    if v[ops[0].index()] {
-                        v[ops[2].index()]
-                    } else {
-                        v[ops[1].index()]
-                    }
-                }
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-        }
-        v
+        self.sim
+            .eval(&lane0(inputs), &lane0(state), None)
+            .iter()
+            .map(|w| w & 1 != 0)
+            .collect()
     }
+}
+
+/// One compiled gate: kind, defined signal, operands (unused slots read 0).
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: GateKind,
+    dst: u32,
+    ops: [u32; 3],
 }
 
 /// 64-way bit-parallel pattern simulator: each signal carries a `u64` whose
 /// bit *k* is the value under pattern *k*.
+///
+/// [`PackedSim::new`] compiles the netlist once into a flat, levelized op
+/// array (gate kind plus `u32` operand indices) and index lists for
+/// inputs, flip-flops, outputs and constants, so an evaluation is one pass
+/// over that array with no netlist scans.
 ///
 /// Supports single-stuck-at fault injection, which makes it the engine of
 /// the parallel-pattern fault simulator in `socet-atpg`.
@@ -138,12 +118,44 @@ impl<'a> CombSim<'a> {
 #[derive(Debug)]
 pub struct PackedSim<'a> {
     nl: &'a GateNetlist,
+    /// Combinational gates in topological order.
+    ops: Vec<Op>,
+    /// Primary-input signals, in input order.
+    inputs: Vec<u32>,
+    /// Flip-flop Q signals, in index order.
+    ff_q: Vec<u32>,
+    /// The D signal of each flip-flop, aligned with `ff_q`.
+    ff_d: Vec<u32>,
+    /// Primary-output signals, in output order.
+    outputs: Vec<u32>,
+    /// Constant-1 sources.
+    ones: Vec<u32>,
 }
 
 impl<'a> PackedSim<'a> {
-    /// Creates a packed simulator over `nl`.
+    /// Compiles `nl` into a packed simulator.
     pub fn new(nl: &'a GateNetlist) -> Self {
-        PackedSim { nl }
+        let op = |s: &SignalId| {
+            let g = nl.gate(*s);
+            let ops = g.ops.map(|o| if o == SignalId::NONE { 0 } else { o.0 });
+            Op {
+                kind: g.kind,
+                dst: s.0,
+                ops,
+            }
+        };
+        let ffs = nl.flip_flops();
+        PackedSim {
+            nl,
+            ops: nl.topo_order().iter().map(op).collect(),
+            inputs: nl.inputs().iter().map(|(_, s)| s.0).collect(),
+            ff_q: ffs.iter().map(|q| q.0).collect(),
+            ff_d: ffs.iter().map(|q| nl.gate(*q).ops[0].0).collect(),
+            outputs: nl.outputs().iter().map(|(_, s)| s.0).collect(),
+            ones: (0..nl.gates().len() as u32)
+                .filter(|&i| nl.gates()[i as usize].kind == GateKind::Const1)
+                .collect(),
+        }
     }
 
     /// Evaluates every signal under up to 64 patterns at once.
@@ -162,8 +174,7 @@ impl<'a> PackedSim<'a> {
     }
 
     /// Like [`PackedSim::eval`] but writes into a caller-owned buffer, so a
-    /// hot loop (e.g. the fault simulator's per-block good-value pass) can
-    /// reuse one allocation across calls.
+    /// hot loop allocates nothing after its first call.
     ///
     /// # Panics
     ///
@@ -175,78 +186,65 @@ impl<'a> PackedSim<'a> {
         fault: Option<(SignalId, bool)>,
         v: &mut Vec<u64>,
     ) {
-        assert_eq!(pi.len(), self.nl.inputs().len(), "input length");
-        assert_eq!(ff.len(), self.nl.flip_flop_count(), "state length");
+        assert_eq!(pi.len(), self.inputs.len(), "input length");
+        assert_eq!(ff.len(), self.ff_q.len(), "state length");
         v.clear();
         v.resize(self.nl.gates().len(), 0);
-        for ((_, s), val) in self.nl.inputs().iter().zip(pi) {
-            v[s.index()] = *val;
+        for (&s, &x) in self.inputs.iter().zip(pi) {
+            v[s as usize] = x;
         }
-        for (q, val) in self.nl.flip_flops().iter().zip(ff) {
-            v[q.index()] = *val;
+        for (&s, &x) in self.ff_q.iter().zip(ff) {
+            v[s as usize] = x;
         }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            if g.kind == GateKind::Const1 {
-                v[i] = u64::MAX;
-            }
+        for &s in &self.ones {
+            v[s as usize] = u64::MAX;
         }
-        let force = |v: &mut Vec<u64>, s: SignalId, stuck: bool| {
-            v[s.index()] = if stuck { u64::MAX } else { 0 };
+        let Some((s, stuck)) = fault else {
+            return run_ops(&self.ops, v);
         };
-        if let Some((s, stuck)) = fault {
-            // Faults on inputs/FFs/constants take effect immediately; faults
-            // on combinational gates are applied when the gate is evaluated.
-            let kind = self.nl.gate(s).kind;
-            if matches!(
-                kind,
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-            ) {
-                force(v, s, stuck);
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            let val = match g.kind {
-                GateKind::Not => !v[ops[0].index()],
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()] & v[ops[1].index()],
-                GateKind::Or2 => v[ops[0].index()] | v[ops[1].index()],
-                GateKind::Nand2 => !(v[ops[0].index()] & v[ops[1].index()]),
-                GateKind::Nor2 => !(v[ops[0].index()] | v[ops[1].index()]),
-                GateKind::Xor2 => v[ops[0].index()] ^ v[ops[1].index()],
-                GateKind::Xnor2 => !(v[ops[0].index()] ^ v[ops[1].index()]),
-                GateKind::Mux2 => {
-                    let sel = v[ops[0].index()];
-                    (!sel & v[ops[1].index()]) | (sel & v[ops[2].index()])
-                }
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-            v[s.index()] = val;
-            if let Some((fs, stuck)) = fault {
-                if fs == *s {
-                    force(v, *s, stuck);
-                }
-            }
-        }
+        // A fault on a source takes effect before the pass; one on a
+        // combinational gate right after the gate is evaluated.
+        let word = if stuck { u64::MAX } else { 0 };
+        let split = self
+            .ops
+            .iter()
+            .position(|op| op.dst as usize == s.index())
+            .map_or(0, |k| k + 1);
+        run_ops(&self.ops[..split], v);
+        v[s.index()] = word;
+        run_ops(&self.ops[split..], v);
     }
 
-    /// Packed primary-output values from a full signal vector.
-    pub fn outputs(&self, values: &[u64]) -> Vec<u64> {
-        self.nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| values[s.index()])
-            .collect()
+    /// Packed value of the `i`-th primary output in a signal vector
+    /// produced by [`PackedSim::eval_into`].
+    pub fn output(&self, values: &[u64], i: usize) -> u64 {
+        values[self.outputs[i] as usize]
     }
 
-    /// Packed next-state (DFF D) values from a full signal vector.
-    pub fn next_state(&self, values: &[u64]) -> Vec<u64> {
-        self.nl
-            .flip_flops()
-            .iter()
-            .map(|q| values[self.nl.gate(*q).operands()[0].index()])
-            .collect()
+    /// Writes the packed next-state (DFF D) values of a full signal vector
+    /// into `next`, reusing its allocation.
+    pub fn next_state_into(&self, values: &[u64], next: &mut Vec<u64>) {
+        next.clear();
+        next.extend(self.ff_d.iter().map(|d| values[*d as usize]));
+    }
+}
+
+/// Evaluates `ops` in order over the signal vector `v`.
+fn run_ops(ops: &[Op], v: &mut [u64]) {
+    for op in ops {
+        let [a, b, c] = op.ops.map(|s| v[s as usize]);
+        v[op.dst as usize] = match op.kind {
+            GateKind::Not => !a,
+            GateKind::Buf => a,
+            GateKind::And2 => a & b,
+            GateKind::Or2 => a | b,
+            GateKind::Nand2 => !(a & b),
+            GateKind::Nor2 => !(a | b),
+            GateKind::Xor2 => a ^ b,
+            GateKind::Xnor2 => !(a ^ b),
+            GateKind::Mux2 => (!a & b) | (a & c),
+            _ => unreachable!("topo order holds only combinational gates"),
+        };
     }
 }
 
@@ -508,7 +506,7 @@ mod tests {
             }
         }
         let values = packed.eval(&pi, &[], None);
-        let outs = packed.outputs(&values);
+        let outs = [packed.output(&values, 0), packed.output(&values, 1)];
         for pat in 0..8u64 {
             let scalar = comb.run(&[pat & 1 != 0, pat & 2 != 0, pat & 4 != 0]);
             assert_eq!(outs[0] >> pat & 1 != 0, scalar[0], "sum pattern {pat}");
@@ -524,7 +522,7 @@ mod tests {
         let good = sim.eval(&[u64::MAX, 0, 0], &[], None);
         let a_sig = nl.inputs()[0].1;
         let bad = sim.eval(&[u64::MAX, 0, 0], &[], Some((a_sig, false)));
-        assert_ne!(sim.outputs(&good)[0], sim.outputs(&bad)[0]);
+        assert_ne!(sim.output(&good, 0), sim.output(&bad, 0));
     }
 
     #[test]

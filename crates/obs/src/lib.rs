@@ -93,6 +93,12 @@ pub mod names {
     pub const SWEEP: &str = "sweep";
     /// One §5.2 iterative-improvement run (`Explorer::optimize`).
     pub const OPTIMIZE: &str = "optimize";
+    /// One design-point replay of the oracle (`verify_design_point`).
+    pub const VERIFY: &str = "verify";
+    /// Replay set-up: shell, drive programs and clobber analysis.
+    pub const VERIFY_BUILD: &str = "verify_build";
+    /// The packed gate-level simulation of every drive program.
+    pub const VERIFY_SIMULATE: &str = "verify_simulate";
 }
 
 /// How a counter folds across workers in [`Recorder::merge_child`].
@@ -206,6 +212,14 @@ counters! {
     ScanCellsInserted => "scan_cells_inserted", Add;
     /// Transparency versions synthesized (socet-transparency).
     VersionsSynthesized => "versions_synthesized", Add;
+
+    // Gate-level replay oracle (socet-verify).
+    /// Packed cycles simulated (one per cycle per 64-program chunk).
+    VerifyCycles => "verify_cycles", Add;
+    /// Bit-exact checks executed (clobber-skipped checks excluded).
+    VerifyChecks => "verify_checks", Add;
+    /// Bits compared by the executed checks.
+    VerifyBits => "verify_bits", Add;
 }
 
 /// One recorded span: a named interval with its parent in the span tree.

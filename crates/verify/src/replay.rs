@@ -21,6 +21,11 @@
 //! The arrival-aligned tester program of [`socet_core::tester`] is
 //! cross-checked structurally (its `transit` must equal the itinerary
 //! arrival and [`validate_program`] must pass).
+//!
+//! A design point has one drive program per episode plus the joint
+//! parallel one. All of them are built first and then simulated together
+//! on `socet-gate`'s compiled [`PackedSim`] kernel, one program per bit
+//! lane (DESIGN.md §8).
 
 use crate::shell::{InputRole, Shell};
 use crate::VerifyError;
@@ -29,10 +34,13 @@ use socet_core::{
     parallelize, tester_program, validate_program, CoreEpisode, CoreTestData, DesignPoint,
     RouteHop, RouteItinerary,
 };
+use socet_gate::PackedSim;
+use socet_obs::{self as obs, names, Counter};
 use socet_rtl::{ChipPinId, CoreInstanceId, PortId, Soc, SocEndpoint};
 use socet_transparency::RcgNode;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Deliberate mis-scheduling hook: shifts the *claimed* arrival cycle of
 /// one input route by `delta` cycles, leaving the physical drive program
@@ -220,12 +228,16 @@ fn noise_bit(seed: u64, tag: u64, key: u64, cycle: u64, bit: u16) -> bool {
     mix(seed ^ mix(tag ^ mix(key ^ mix(cycle ^ u64::from(bit))))) & 1 == 1
 }
 
-fn pin_noise(seed: u64, pin: usize, cycle: u64, bit: u16) -> bool {
-    noise_bit(seed, 1, pin as u64, cycle, bit)
+/// A noise stream: `(tag, key)` of [`noise_bit`]. Chip pins and injected
+/// CUT responses draw from disjoint tags.
+type Stream = (u64, u64);
+
+fn pin_stream(pin: usize) -> Stream {
+    (1, pin as u64)
 }
 
-fn inj_noise(seed: u64, core: usize, port: usize, cycle: u64, bit: u16) -> bool {
-    noise_bit(seed, 2, ((core as u64) << 32) | port as u64, cycle, bit)
+fn inj_stream(core: usize, port: usize) -> Stream {
+    (2, ((core as u64) << 32) | port as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -242,20 +254,6 @@ enum Dir {
     Output,
 }
 
-enum SrcStream {
-    Pin(usize),
-    Inj(usize, usize),
-}
-
-impl SrcStream {
-    fn bit(&self, seed: u64, cycle: u64, bit: u16) -> bool {
-        match *self {
-            SrcStream::Pin(p) => pin_noise(seed, p, cycle, bit),
-            SrcStream::Inj(c, p) => inj_noise(seed, c, p, cycle, bit),
-        }
-    }
-}
-
 /// Everything about one route that is vector-independent; instantiated per
 /// vector by shifting relative cycles by the launch cycle.
 struct RouteTemplate {
@@ -263,7 +261,7 @@ struct RouteTemplate {
     route_idx: usize,
     arrival: u64,
     claimed: u64,
-    src: SrcStream,
+    src: Stream,
     /// Destination bit → (source bit, first-latch rel cycle).
     map: Vec<Option<Entry>>,
     /// Destination bit → shell output index.
@@ -272,54 +270,73 @@ struct RouteTemplate {
     acts: Vec<(u64, usize)>,
     /// Register loads: (core idx, reg idx, rel cycle, edge idx).
     loads: Vec<(usize, usize, u64, usize)>,
+    /// Registers the route holds data in: (core idx, reg idx, first-load
+    /// rel cycle), sorted.
+    holds: Vec<(usize, usize, u64)>,
     /// Output-port opens: (core idx, port idx, rel cycle, lo, hi, edge).
     opens: Vec<(usize, usize, u64, u16, u16, usize)>,
 }
 
+/// One bit-exact check of the program bits `bits`, each packed as
+/// `shell output index << 1 | expected value`.
 struct Check {
     cycle: u64,
-    episode: usize,
-    owner: u64,
-    dir: Dir,
-    route_idx: usize,
     vector: u64,
-    bits: Vec<(usize, bool)>,
+    episode: usize,
+    route_idx: usize,
+    dir: Dir,
+    bits: Range<usize>,
 }
 
-/// One replay run's drive program: activation toggle events, checks, and
-/// the conflict-detection journals.
-type OpenRec = (usize, usize, u64, u16, u16, usize, u64, usize);
+/// Conflict-detection journals of one program. Every route instance is an
+/// *owner*, numbered by the index of its check.
+#[derive(Default)]
+struct Journal {
+    /// (core, reg, cycle, edge, owner).
+    loads: Vec<(usize, usize, u64, usize, usize)>,
+    /// (core, reg, start, end, owner) — value held over `(start, end)`
+    /// exclusive of both ends.
+    holds: Vec<(usize, usize, u64, u64, usize)>,
+    /// (core, port, cycle, lo, hi, edge, owner).
+    opens: Vec<(usize, usize, u64, u16, u16, usize, usize)>,
+}
 
+/// One replay run's drive program while it is being assembled.
 #[derive(Default)]
 struct Program {
     /// (cycle, input idx, +1/-1).
     events: Vec<(u64, usize, i32)>,
+    /// Indexed by owner.
     checks: Vec<Check>,
-    /// (core, reg, cycle, edge, owner, episode).
-    loads: Vec<(usize, usize, u64, usize, u64, usize)>,
-    /// (core, reg, start, end, owner, episode) — value held over
-    /// `(start, end)` exclusive of both ends.
-    holds: Vec<(usize, usize, u64, u64, u64, usize)>,
-    /// (core, port, cycle, lo, hi, edge, owner, episode).
-    opens: Vec<OpenRec>,
-    next_owner: u64,
-    horizon: u64,
+    bits: Vec<u32>,
+    journal: Journal,
 }
 
 impl Program {
-    fn pulse(&mut self, cycle: u64, input: usize) {
-        self.events.push((cycle, input, 1));
-        self.events.push((cycle + 1, input, -1));
-        self.horizon = self.horizon.max(cycle + 1);
-    }
-
     fn window(&mut self, from: u64, to: u64, input: usize) {
         self.events.push((from, input, 1));
         self.events.push((to, input, -1));
-        self.horizon = self.horizon.max(to);
+    }
+
+    fn pulse(&mut self, cycle: u64, input: usize) {
+        self.window(cycle, cycle + 1, input);
     }
 }
 
+/// A sealed program, ready to simulate: events sorted, clobbered checks
+/// dropped, the rest sorted by cycle, journals gone.
+struct Replay {
+    events: Vec<(u64, usize, i32)>,
+    checks: Vec<Check>,
+    bits: Vec<u32>,
+    /// Last check cycle + 1: no later cycle can affect a check.
+    horizon: u64,
+    phase: &'static str,
+    /// Clobber findings at sealing, then check failures in cycle order.
+    violations: Vec<Violation>,
+}
+
+#[derive(Default)]
 struct EpisodeStats {
     checks: u64,
     bits_checked: u64,
@@ -414,19 +431,19 @@ fn route_template(
     let mut opens = Vec::new();
 
     // Initial provenance: identity over the source word.
-    let (mut map, src): (Vec<Option<Entry>>, SrcStream) = match dir {
+    let (mut map, src): (Vec<Option<Entry>>, Stream) = match dir {
         Dir::Input => {
             let w = soc.pin(pin).width();
             (
                 (0..w).map(|b| Some((b, None))).collect(),
-                SrcStream::Pin(pin.index()),
+                pin_stream(pin.index()),
             )
         }
         Dir::Output => {
             let w = soc.core(ep.core).core().port(it.port).width();
             (
                 (0..w).map(|b| Some((b, None))).collect(),
-                SrcStream::Inj(ep.core.index(), it.port.index()),
+                inj_stream(ep.core.index(), it.port.index()),
             )
         }
     };
@@ -483,6 +500,9 @@ fn route_template(
             (map, idx)
         }
     };
+    let mut holds: Vec<(usize, usize, u64)> = loads.iter().map(|l| (l.0, l.1, l.2)).collect();
+    holds.sort_unstable();
+    holds.dedup_by_key(|h| (h.0, h.1));
     Ok(RouteTemplate {
         dir,
         route_idx,
@@ -493,6 +513,7 @@ fn route_template(
         out_idx,
         acts,
         loads,
+        holds,
         opens,
     })
 }
@@ -676,49 +697,44 @@ fn add_episode(
     for v in 0..vectors {
         let launch = offset + v * per;
         for t in &templates {
-            let owner = prog.next_owner;
-            prog.next_owner += 1;
+            let owner = prog.checks.len();
             for &(rel, input) in &t.acts {
                 prog.pulse(launch + rel, input);
             }
+            let j = &mut prog.journal;
             for &(c, r, rel, e) in &t.loads {
-                prog.loads.push((c, r, launch + rel, e, owner, plan_idx));
+                j.loads.push((c, r, launch + rel, e, owner));
             }
             // Held from its first load until the route's last sample.
-            let mut first_load: HashMap<(usize, usize), u64> = HashMap::new();
-            for &(c, r, rel, _) in &t.loads {
-                let e = first_load.entry((c, r)).or_insert(u64::MAX);
-                *e = (*e).min(launch + rel);
-            }
-            for ((c, r), s) in first_load {
-                prog.holds
-                    .push((c, r, s, launch + t.arrival, owner, plan_idx));
+            for &(c, r, first) in &t.holds {
+                j.holds
+                    .push((c, r, launch + first, launch + t.arrival, owner));
             }
             for &(c, p, rel, lo, hi, e) in &t.opens {
-                prog.opens
-                    .push((c, p, launch + rel, lo, hi, e, owner, plan_idx));
+                j.opens.push((c, p, launch + rel, lo, hi, e, owner));
             }
-            let mut bits = Vec::new();
+            let start = prog.bits.len();
             for (bit, entry) in t.map.iter().enumerate() {
                 match (entry, t.out_idx[bit]) {
                     (Some((sbit, fl)), Some(out)) => {
                         let cycle = launch + fl.unwrap_or(t.arrival);
-                        bits.push((out, t.src.bit(opts.seed, cycle, *sbit)));
+                        let want = noise_bit(opts.seed, t.src.0, t.src.1, cycle, *sbit);
+                        let packed = u32::try_from(out << 1 | usize::from(want));
+                        prog.bits
+                            .push(packed.expect("shell outputs are u32-indexed"));
                     }
                     _ => stats.bits_untracked += 1,
                 }
             }
+            let bits = start..prog.bits.len();
             stats.bits_checked += bits.len() as u64;
             stats.checks += 1;
-            let check_cycle = launch + t.claimed;
-            prog.horizon = prog.horizon.max(check_cycle + 1);
             prog.checks.push(Check {
-                cycle: check_cycle,
-                episode: plan_idx,
-                owner,
-                dir: t.dir,
-                route_idx: t.route_idx,
+                cycle: launch + t.claimed,
                 vector: v,
+                episode: plan_idx,
+                route_idx: t.route_idx,
+                dir: t.dir,
                 bits,
             });
         }
@@ -727,122 +743,84 @@ fn add_episode(
 }
 
 // ---------------------------------------------------------------------------
-// Conflict analysis and simulation.
+// Conflict analysis.
 
-/// Owners whose transported data another route overwrote before its
-/// consumption. Returns `(owner → clobbering episode)` pairs.
-type LoadsByReg = HashMap<(usize, usize), Vec<(u64, usize, u64, usize)>>;
-type LoadsByCycle = HashMap<(usize, usize, u64), Vec<(usize, u64, usize)>>;
-type OpensByKey = HashMap<(usize, usize, u64), Vec<(u16, u16, usize, u64, usize)>>;
+/// What overwrote an owner's transported data before its consumption:
+/// `(clobbering episode, core, cycle)`.
+type Clobber = (usize, usize, u64);
 
-fn clobbered_owners(prog: &Program) -> HashMap<u64, (usize, usize, u64)> {
-    let mut out: HashMap<u64, (usize, usize, u64)> = HashMap::new();
-    // Register holds vs foreign loads.
-    let mut loads_by_reg: LoadsByReg = HashMap::new();
-    for &(c, r, cycle, e, owner, ep) in &prog.loads {
-        loads_by_reg
-            .entry((c, r))
-            .or_default()
-            .push((cycle, e, owner, ep));
-    }
-    for v in loads_by_reg.values_mut() {
-        v.sort_unstable();
-    }
-    for &(c, r, start, end, owner, _ep) in &prog.holds {
-        let Some(ls) = loads_by_reg.get(&(c, r)) else {
-            continue;
-        };
-        for &(cycle, _e, lowner, lep) in ls {
-            if cycle <= start {
-                continue;
-            }
-            if cycle >= end {
-                break;
-            }
-            if lowner != owner {
-                out.entry(owner).or_insert((lep, c, cycle));
-            }
+/// The first clobber of every owner, indexed by owner. Each journal is
+/// sorted, then scanned in a fixed order — holds in journal order, then
+/// same-cycle load groups, then open groups, by ascending key — so the
+/// first clobber, and with it the blamed episode, never depends on hashing.
+fn clobbers(j: &mut Journal, checks: &[Check]) -> Vec<Option<Clobber>> {
+    let episode = |owner: usize| checks[owner].episode;
+    let mut out: Vec<Option<Clobber>> = vec![None; checks.len()];
+    let mut blame = |owner: usize, by: Clobber| {
+        out[owner].get_or_insert(by);
+    };
+    // Register holds vs foreign loads strictly inside the hold.
+    j.loads.sort_unstable();
+    for &(c, r, start, end, owner) in &j.holds {
+        let from = j
+            .loads
+            .partition_point(|l| (l.0, l.1, l.2) <= (c, r, start));
+        if let Some(l) = j.loads[from..]
+            .iter()
+            .take_while(|l| (l.0, l.1) == (c, r) && l.2 < end)
+            .find(|l| l.4 != owner)
+        {
+            blame(owner, (episode(l.4), c, l.2));
         }
     }
     // Simultaneous loads of the same register through different edges: the
-    // higher-index mux leg wins, the lower one is shadowed.
-    let mut same_cycle: LoadsByCycle = HashMap::new();
-    for &(c, r, cycle, e, owner, ep) in &prog.loads {
-        same_cycle
-            .entry((c, r, cycle))
-            .or_default()
-            .push((e, owner, ep));
-    }
-    for ((c, _r, cycle), group) in &same_cycle {
-        if group.len() < 2 {
-            continue;
-        }
-        let max_edge = group.iter().map(|(e, ..)| *e).max().unwrap_or(0);
-        for &(e, owner, _) in group {
-            if e < max_edge {
-                let winner = group.iter().find(|(ge, ..)| *ge == max_edge).unwrap();
-                out.entry(owner).or_insert((winner.2, *c, *cycle));
-            }
+    // higher-index mux leg wins, the lower ones are shadowed. Within a group
+    // the loads are sorted by edge, then owner (journal order), so the
+    // winner is the first load on the highest edge.
+    for group in j.loads.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+        let max_edge = group[group.len() - 1].3;
+        let first_max = group.partition_point(|l| l.3 < max_edge);
+        let winner = episode(group[first_max].4);
+        for l in &group[..first_max] {
+            blame(l.4, (winner, l.0, l.2));
         }
     }
     // Output-port opens: different edges, same port, same cycle, bit
-    // overlap — the lower-index edge's reader is shadowed.
-    let mut opens_by_key: OpensByKey = HashMap::new();
-    for &(c, p, cycle, lo, hi, e, owner, ep) in &prog.opens {
-        opens_by_key
-            .entry((c, p, cycle))
-            .or_default()
-            .push((lo, hi, e, owner, ep));
-    }
-    for ((c, _p, cycle), group) in &opens_by_key {
-        if group.len() < 2 {
-            continue;
-        }
-        for (i, &(lo1, hi1, e1, o1, _)) in group.iter().enumerate() {
-            for &(lo2, hi2, e2, o2, ep2) in group.iter().skip(i + 1) {
+    // overlap — the lower-index edge's reader is shadowed. The stable sort
+    // keeps journal order within a key.
+    j.opens.sort_by_key(|o| (o.0, o.1, o.2));
+    for group in j.opens.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+        for (i, &(c, _, cycle, lo1, hi1, e1, o1)) in group.iter().enumerate() {
+            for &(_, _, _, lo2, hi2, e2, o2) in &group[i + 1..] {
                 if o1 == o2 || e1 == e2 || lo1 > hi2 || lo2 > hi1 {
                     continue;
                 }
-                let shadowed = if e1 < e2 { (o1, ep2) } else { (o2, ep2) };
-                out.entry(shadowed.0).or_insert((shadowed.1, *c, *cycle));
+                let (shadowed, winner) = if e1 < e2 { (o1, o2) } else { (o2, o1) };
+                blame(shadowed, (episode(winner), c, cycle));
             }
         }
     }
     out
 }
 
-fn owner_episode(prog: &Program, owner: u64) -> Option<usize> {
-    prog.checks
-        .iter()
-        .find(|c| c.owner == owner)
-        .map(|c| c.episode)
-}
-
-/// Runs the program on the shell, returning violations and the number of
-/// checks executed (clobbered owners are skipped and counted per episode).
-fn run_program(
-    shell: &Shell,
-    soc: &Soc,
-    prog: &mut Program,
-    opts: &VerifyOptions,
-    phase: &'static str,
-    hold_gaps: &mut [u64],
-    violations: &mut Vec<Violation>,
-) -> u64 {
-    let clobbered = clobbered_owners(prog);
-    // A clobber across episodes is a reservation conflict (invariant c);
-    // within an episode it is the freeze-model gap — skip those checks.
-    let mut skip: HashSet<u64> = HashSet::new();
-    let mut reported: HashSet<(usize, usize)> = HashSet::new();
-    let mut pairs: Vec<(u64, (usize, usize, u64))> = clobbered.into_iter().collect();
-    pairs.sort_unstable();
-    for (owner, (by_ep, core, cycle)) in pairs {
-        let Some(own_ep) = owner_episode(prog, owner) else {
-            continue;
-        };
-        skip.insert(owner);
-        if own_ep != by_ep {
-            if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
+impl Program {
+    /// Runs the clobber analysis, drops the journals and the checks it
+    /// skips, and sorts what is left for simulation. A clobber across
+    /// episodes is a reservation conflict (invariant c); within an episode
+    /// it is the freeze-model gap — counted in `hold_gaps`, check skipped.
+    fn seal(mut self, soc: &Soc, phase: &'static str, hold_gaps: &mut [u64]) -> Replay {
+        let clobbered = clobbers(&mut self.journal, &self.checks);
+        drop(self.journal);
+        let mut violations = Vec::new();
+        let mut reported: HashSet<(usize, usize)> = HashSet::new();
+        for (owner, clobber) in clobbered.iter().enumerate() {
+            let Some((by_ep, core, cycle)) = *clobber else {
+                continue;
+            };
+            let own_ep = self.checks[owner].episode;
+            if own_ep == by_ep {
+                hold_gaps[own_ep] += 1;
+            } else if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
                 violations.push(Violation {
                     phase,
                     episode: own_ep,
@@ -854,99 +832,109 @@ fn run_program(
                     ),
                 });
             }
-        } else {
-            hold_gaps[own_ep] += 1;
+        }
+        let mut checks: Vec<Check> = self
+            .checks
+            .into_iter()
+            .zip(&clobbered)
+            .filter_map(|(c, clobber)| clobber.is_none().then_some(c))
+            .collect();
+        checks.sort_by_key(|c| c.cycle);
+        self.events.sort_unstable();
+        Replay {
+            horizon: checks.last().map_or(0, |c| c.cycle + 1),
+            events: self.events,
+            checks,
+            bits: self.bits,
+            phase,
+            violations,
         }
     }
+}
 
-    prog.events.sort_unstable();
-    prog.checks.sort_by_key(|c| c.cycle);
+// ---------------------------------------------------------------------------
+// Packed simulation.
 
-    let sim = shell.sim();
-    let mut counts: Vec<i32> = vec![0; shell.input_roles.len()];
-    let mut inputs: Vec<bool> = vec![false; shell.input_roles.len()];
-    let mut state: Vec<bool> = vec![false; shell.netlist.flip_flop_count()];
-    let mut ev = 0usize;
-    let mut ck = 0usize;
-    let mut executed = 0u64;
-    for t in 0..prog.horizon {
-        while ev < prog.events.len() && prog.events[ev].0 == t {
-            let (_, idx, d) = prog.events[ev];
-            counts[idx] += d;
-            ev += 1;
-        }
-        for (i, role) in shell.input_roles.iter().enumerate() {
-            inputs[i] = match role {
-                InputRole::Pin { pin, bit } => pin_noise(opts.seed, pin.index(), t, *bit),
-                InputRole::Inject { core, port, bit } => {
-                    inj_noise(opts.seed, core.index(), port.index(), t, *bit)
-                }
-                InputRole::TestMode { .. } | InputRole::Act { .. } => counts[i] > 0,
-            };
-        }
-        let (outs, next) = sim.run_with_state(&inputs, &state);
-        while ck < prog.checks.len() && prog.checks[ck].cycle == t {
-            let c = &prog.checks[ck];
-            ck += 1;
-            if skip.contains(&c.owner) {
-                continue;
+/// Lanes of one packed pass: replay *k* of a chunk drives bit *k*.
+const LANES: usize = 64;
+
+/// Simulates every replay on the shell, [`LANES`] at a time, appending
+/// check failures to each replay's violations. Pin and injection noise is
+/// computed once per cycle and broadcast; test-mode and activation inputs
+/// are per-lane masks updated on events. Returns the cycles simulated.
+fn simulate(shell: &Shell, replays: &mut [Replay], seed: u64) -> u64 {
+    let sim = PackedSim::new(&shell.netlist);
+    // (input index, stream, bit) of every noise-driven input.
+    let noise: Vec<(usize, Stream, u16)> = (shell.input_roles.iter().enumerate())
+        .filter_map(|(i, role)| match *role {
+            InputRole::Pin { pin, bit } => Some((i, pin_stream(pin.index()), bit)),
+            InputRole::Inject { core, port, bit } => {
+                Some((i, inj_stream(core.index(), port.index()), bit))
             }
-            executed += 1;
-            let bad: Vec<usize> = c
-                .bits
-                .iter()
-                .enumerate()
-                .filter(|(_, (out, want))| outs[*out] != *want)
-                .map(|(i, _)| i)
-                .collect();
-            if !bad.is_empty() {
-                if std::env::var_os("SOCET_VERIFY_DEBUG").is_some() {
-                    eprintln!(
-                        "DEBUG failing check: owner {} ep {} dir {:?} route {} vec {} cycle {t}",
-                        c.owner, c.episode, c.dir, c.route_idx, c.vector
-                    );
-                    for &(cc, r, cy, e, o, ep2) in prog.loads.iter() {
-                        if cy.abs_diff(t) <= 6 {
-                            eprintln!(
-                                "  load core {cc} reg {r} cycle {cy} edge {e} owner {o} ep {ep2}"
-                            );
-                        }
-                    }
-                    for &(cc, p, cy, lo, hi, e, o, ep2) in prog.opens.iter() {
-                        if cy.abs_diff(t) <= 6 {
-                            eprintln!("  open core {cc} port {p} cycle {cy} bits {lo}..{hi} edge {e} owner {o} ep {ep2}");
-                        }
-                    }
-                    for &(cy, idx, d) in prog.events.iter() {
-                        if cy.abs_diff(t) <= 2 {
-                            eprintln!(
-                                "  event cycle {cy} input {idx} ({:?}) delta {d}",
-                                shell.input_roles[idx]
-                            );
-                        }
+            InputRole::TestMode { .. } | InputRole::Act { .. } => None,
+        })
+        .collect();
+    let inputs = shell.input_roles.len();
+    let mut values = Vec::new();
+    let mut cycles = 0;
+    for chunk in replays.chunks_mut(LANES) {
+        let horizon = chunk.iter().map(|r| r.horizon).max().unwrap_or(0);
+        let mut pi = vec![0u64; inputs];
+        let mut state = vec![0u64; shell.netlist.flip_flop_count()];
+        let mut counts = vec![0i32; chunk.len() * inputs];
+        // Per lane: next event, next check.
+        let mut cursor = vec![(0usize, 0usize); chunk.len()];
+        for t in 0..horizon {
+            for (lane, r) in chunk.iter().enumerate() {
+                let ev = &mut cursor[lane].0;
+                while let Some(&(_, input, d)) = r.events.get(*ev).filter(|e| e.0 == t) {
+                    let n = &mut counts[lane * inputs + input];
+                    *n += d;
+                    pi[input] = pi[input] & !(1 << lane) | u64::from(*n > 0) << lane;
+                    *ev += 1;
+                }
+            }
+            for &(i, (tag, key), bit) in &noise {
+                pi[i] = 0u64.wrapping_sub(u64::from(noise_bit(seed, tag, key, t, bit)));
+            }
+            sim.eval_into(&pi, &state, None, &mut values);
+            for (lane, r) in chunk.iter_mut().enumerate() {
+                let ck = &mut cursor[lane].1;
+                while let Some(c) = r.checks.get(*ck).filter(|c| c.cycle == t) {
+                    *ck += 1;
+                    let bits = &r.bits[c.bits.clone()];
+                    let bad = bits
+                        .iter()
+                        .filter(|&&b| {
+                            let got = sim.output(&values, (b >> 1) as usize) >> lane & 1;
+                            got != u64::from(b & 1)
+                        })
+                        .count();
+                    if bad > 0 {
+                        let what = match c.dir {
+                            Dir::Input => "justified vector missed CUT input (invariant a)",
+                            Dir::Output => "response missed chip output (invariant b)",
+                        };
+                        let detail = format!(
+                            "{what}: route {} vector {}: {bad}/{} bits differ",
+                            c.route_idx,
+                            c.vector,
+                            c.bits.len()
+                        );
+                        r.violations.push(Violation {
+                            phase: r.phase,
+                            episode: c.episode,
+                            cycle: t,
+                            detail,
+                        });
                     }
                 }
-                let what = match c.dir {
-                    Dir::Input => "justified vector missed CUT input (invariant a)",
-                    Dir::Output => "response missed chip output (invariant b)",
-                };
-                violations.push(Violation {
-                    phase,
-                    episode: c.episode,
-                    cycle: t,
-                    detail: format!(
-                        "{what}: route {} vector {}: {}/{} bits differ",
-                        c.route_idx,
-                        c.vector,
-                        bad.len(),
-                        c.bits.len()
-                    ),
-                });
             }
+            sim.next_state_into(&values, &mut state);
         }
-        state = next;
+        cycles += horizon;
     }
-    executed
+    cycles
 }
 
 // ---------------------------------------------------------------------------
@@ -960,6 +948,8 @@ pub fn verify_design_point(
     plan: &DesignPoint,
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
+    let _verify = obs::span(names::VERIFY);
+    let build = obs::span(names::VERIFY_BUILD);
     let shell = Shell::build(soc, data, plan)?;
     let flat = flatten_soc(soc).map_err(VerifyError::Netlist)?;
     let mut violations = Vec::new();
@@ -1013,24 +1003,13 @@ pub fn verify_design_point(
         }
     }
 
-    // Serial phase: every episode replayed in isolation.
+    // Serial phase: every episode replayed in isolation, one program each.
+    let mut replays = Vec::new();
     for (i, ep) in plan.episodes.iter().enumerate() {
-        let mut stats = EpisodeStats {
-            checks: 0,
-            bits_checked: 0,
-            bits_untracked: 0,
-        };
+        let mut stats = EpisodeStats::default();
         let mut prog = Program::default();
         add_episode(&mut prog, &shell, soc, i, ep, 0, opts, &mut stats)?;
-        run_program(
-            &shell,
-            soc,
-            &mut prog,
-            opts,
-            "serial",
-            &mut hold_gaps,
-            &mut violations,
-        );
+        replays.push(prog.seal(soc, "serial", &mut hold_gaps));
         let sys_mux = ep
             .input_routes
             .iter()
@@ -1057,6 +1036,7 @@ pub fn verify_design_point(
     let parallel = if opts.check_parallel && !plan.episodes.is_empty() {
         let par = parallelize(soc, plan);
         // Explicit pairwise resource disjointness of overlapping windows.
+        let mut structural = Vec::new();
         type WindowResources = (u64, u64, HashSet<(u8, usize)>);
         let resources: Vec<WindowResources> = par
             .windows
@@ -1081,7 +1061,7 @@ pub fn verify_design_point(
         for (i, (s1, e1, r1)) in resources.iter().enumerate() {
             for (s2, e2, r2) in resources.iter().skip(i + 1) {
                 if s1 < e2 && s2 < e1 && r1.intersection(r2).next().is_some() {
-                    violations.push(Violation {
+                    structural.push(Violation {
                         phase: "parallel",
                         episode: i,
                         cycle: *s1.max(s2),
@@ -1091,11 +1071,7 @@ pub fn verify_design_point(
             }
         }
         let mut prog = Program::default();
-        let mut stats = EpisodeStats {
-            checks: 0,
-            bits_checked: 0,
-            bits_untracked: 0,
-        };
+        let mut stats = EpisodeStats::default();
         for (core, start, _end) in &par.windows {
             let (i, ep) = plan
                 .episodes
@@ -1105,15 +1081,10 @@ pub fn verify_design_point(
                 .expect("window core has an episode");
             add_episode(&mut prog, &shell, soc, i, ep, *start, opts, &mut stats)?;
         }
-        let checks = run_program(
-            &shell,
-            soc,
-            &mut prog,
-            opts,
-            "parallel",
-            &mut hold_gaps,
-            &mut violations,
-        );
+        let mut replay = prog.seal(soc, "parallel", &mut hold_gaps);
+        replay.violations.splice(0..0, structural);
+        let checks = replay.checks.len() as u64;
+        replays.push(replay);
         Some(ParallelSummary {
             windows: par.windows.len(),
             makespan: par.makespan,
@@ -1123,6 +1094,23 @@ pub fn verify_design_point(
     } else {
         None
     };
+    drop(build);
+
+    {
+        let _simulate = obs::span(names::VERIFY_SIMULATE);
+        obs::add(
+            Counter::VerifyCycles,
+            simulate(&shell, &mut replays, opts.seed),
+        );
+    }
+    for r in replays {
+        obs::add(Counter::VerifyChecks, r.checks.len() as u64);
+        obs::add(
+            Counter::VerifyBits,
+            r.checks.iter().map(|c| c.bits.len() as u64).sum(),
+        );
+        violations.extend(r.violations);
+    }
 
     for (i, s) in summaries.iter_mut().enumerate() {
         s.hold_gaps = hold_gaps[i];
@@ -1138,4 +1126,144 @@ pub fn verify_design_point(
         parallel,
         violations,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use socet_cells::DftCosts;
+    use socet_core::try_schedule;
+    use socet_hscan::insert_hscan;
+    use socet_transparency::try_synthesize_versions;
+
+    fn check(episode: usize) -> Check {
+        Check {
+            cycle: 9,
+            vector: 0,
+            episode,
+            route_idx: 0,
+            dir: Dir::Input,
+            bits: 0..0,
+        }
+    }
+
+    #[test]
+    fn clobber_attribution_is_deterministic() {
+        // Owner 0 (episode 0) loads registers 0 and 1 of core 0 at cycle 5
+        // through edge 0; in the same cycle owner 1 (episode 1) loads
+        // register 0 and owner 2 (episode 2) register 1 through the
+        // winning edge 1. Both shadow owner 0: the lower key blames
+        // episode 1, every time.
+        let checks = [check(0), check(1), check(2)];
+        let mut seen = HashSet::new();
+        for _ in 0..50 {
+            let mut journal = Journal {
+                loads: vec![
+                    (0, 1, 5, 0, 0),
+                    (0, 1, 5, 1, 2),
+                    (0, 0, 5, 0, 0),
+                    (0, 0, 5, 1, 1),
+                ],
+                ..Journal::default()
+            };
+            seen.insert(clobbers(&mut journal, &checks)[0]);
+        }
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), [Some((1, 0, 5))]);
+    }
+
+    #[test]
+    fn shadowed_open_blames_the_winning_episode() {
+        // Owner 0 (episode 0) reads port 0 of core 0 through edge 1 at
+        // cycle 5; owner 1 (episode 1) reads overlapping bits through edge
+        // 0 in the same cycle. The higher edge wins: episode 0 shadowed
+        // owner 1, a cross-episode conflict, not a hold gap of episode 1.
+        let checks = [check(0), check(1)];
+        let mut journal = Journal {
+            opens: vec![(0, 0, 5, 0, 3, 1, 0), (0, 0, 5, 2, 7, 0, 1)],
+            ..Journal::default()
+        };
+        assert_eq!(clobbers(&mut journal, &checks), [None, Some((0, 0, 5))]);
+    }
+
+    /// The barcode system at the paper design point, 3 vectors per core.
+    fn system1() -> (Soc, Vec<Option<CoreTestData>>, DesignPoint) {
+        let soc = socet_socs::barcode_system();
+        let costs = DftCosts::default();
+        let data: Vec<Option<CoreTestData>> = soc
+            .cores()
+            .iter()
+            .map(|inst| {
+                (!inst.is_memory()).then(|| {
+                    let hscan = insert_hscan(inst.core(), &costs);
+                    let versions = try_synthesize_versions(inst.core(), &hscan, &costs)
+                        .expect("paper cores have versions");
+                    CoreTestData {
+                        versions,
+                        hscan,
+                        scan_vectors: 3,
+                    }
+                })
+            })
+            .collect();
+        let plan = try_schedule(&soc, &data, &vec![0; soc.cores().len()], &costs)
+            .expect("paper design point schedules");
+        (soc, data, plan)
+    }
+
+    fn findings(r: &Replay) -> Vec<String> {
+        r.violations
+            .iter()
+            .map(|v| format!("{} {} {} {}", v.phase, v.episode, v.cycle, v.detail))
+            .collect()
+    }
+
+    #[test]
+    fn chunked_replay_matches_single_program_replay() {
+        let (soc, data, plan) = system1();
+        let shell = Shell::build(&soc, &data, &plan).expect("shell builds");
+        let seed = VerifyOptions::default().seed;
+        // 70 programs — a full chunk of 64 lanes and a partial one — each
+        // one episode at its own offset; every sixth replays CPU route 0
+        // with its claim skewed by ±1 so that some lanes fail.
+        let build = |k: usize| {
+            let i = k % plan.episodes.len();
+            let opts = VerifyOptions {
+                max_vectors: Some(2),
+                skew: (k % 6 == 1).then_some(Skew {
+                    episode: i,
+                    route: 0,
+                    delta: if k % 12 == 1 { 1 } else { -1 },
+                }),
+                ..VerifyOptions::default()
+            };
+            let mut stats = EpisodeStats::default();
+            let mut prog = Program::default();
+            add_episode(
+                &mut prog,
+                &shell,
+                &soc,
+                i,
+                &plan.episodes[i],
+                k as u64,
+                &opts,
+                &mut stats,
+            )
+            .expect("program builds");
+            prog.seal(&soc, "serial", &mut vec![0; plan.episodes.len()])
+        };
+        let mut packed: Vec<Replay> = (0..70).map(build).collect();
+        let cycles = simulate(&shell, &mut packed, seed);
+        let horizon = |rs: &[Replay]| rs.iter().map(|r| r.horizon).max().unwrap_or(0);
+        assert_eq!(cycles, horizon(&packed[..64]) + horizon(&packed[64..]));
+        let mut failing = Vec::new();
+        for (k, replay) in packed.iter().enumerate() {
+            let mut alone = [build(k)];
+            simulate(&shell, &mut alone, seed);
+            assert_eq!(findings(replay), findings(&alone[0]), "program {k}");
+            if !replay.violations.is_empty() {
+                failing.push(k);
+            }
+        }
+        assert_eq!(failing, (1..70).step_by(6).collect::<Vec<_>>());
+    }
 }

@@ -24,7 +24,7 @@
 
 use crate::VerifyError;
 use socet_core::{CoreTestData, DesignPoint};
-use socet_gate::{CombSim, GateNetlist, GateNetlistBuilder, SignalId};
+use socet_gate::{GateNetlist, GateNetlistBuilder, SignalId};
 use socet_rtl::{ChipPinId, CoreInstanceId, PortId, RegisterId, Soc};
 use socet_transparency::{level_support, Rcg, RcgNode, TransparencyPath};
 use std::collections::HashMap;
@@ -447,11 +447,6 @@ impl Shell {
             fabrics,
             registers,
         })
-    }
-
-    /// A fresh combinational simulator over the shell.
-    pub fn sim(&self) -> CombSim<'_> {
-        CombSim::new(&self.netlist)
     }
 }
 

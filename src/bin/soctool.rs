@@ -21,10 +21,10 @@
 //! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
 //! (`0` = auto).
 //!
-//! `report`, `sweep` and `prepare` accept `--trace PATH` (machine-readable
-//! JSON trace of the run's spans and counters) and `--profile PATH`
-//! (collapsed-stack profile for flamegraph tooling) — both exporters of
-//! the unified observability layer ([`socet::obs`]).
+//! `report`, `sweep`, `prepare` and `verify` accept `--trace PATH`
+//! (machine-readable JSON trace of the run's spans and counters) and
+//! `--profile PATH` (collapsed-stack profile for flamegraph tooling) —
+//! both exporters of the unified observability layer ([`socet::obs`]).
 //!
 //! `verify` replays scheduled test programs on the gate-level
 //! transparency shell and checks the three oracle invariants
@@ -66,6 +66,7 @@ fn usage() -> ExitCode {
                    [--trace PATH] [--profile PATH]\n\
            bist    <system>\n\
            verify  <system> [--seed N] [--cases K] [--stats]\n\
+                   [--trace PATH] [--profile PATH]\n\
          systems: system1 | system2 | synthetic:<cores>\n\
                   (verify also accepts `synthetic` = randomized harness)\n\
          --stats: print engine counters (evaluation, ATPG or preparation)\n\
@@ -209,9 +210,15 @@ fn main() -> ExitCode {
             max_vectors: Some(4),
             ..Default::default()
         };
-        let report =
-            socet::verify::run_synthetic_cases(seed.unwrap_or(0x50CE7), cases.unwrap_or(10), &opts);
+        let mut rec = Recorder::new();
+        let report = {
+            let _sink = rec.install();
+            socet::verify::run_synthetic_cases(seed.unwrap_or(0x50CE7), cases.unwrap_or(10), &opts)
+        };
         print!("{}", report.render());
+        if !export_trace(&rec, trace.as_ref(), profile.as_ref()) {
+            return ExitCode::FAILURE;
+        }
         return if report.ok() {
             ExitCode::SUCCESS
         } else {
@@ -383,6 +390,8 @@ fn main() -> ExitCode {
             }
         }
         "verify" => {
+            let mut rec = Recorder::new();
+            let sink = rec.install();
             let data = prepare(&soc, 105);
             let limits: Vec<usize> = data
                 .iter()
@@ -434,6 +443,10 @@ fn main() -> ExitCode {
             }
             if stats {
                 println!("total: {checks} checks, {bits} bits compared");
+            }
+            drop(sink);
+            if !export_trace(&rec, trace.as_ref(), profile.as_ref()) {
+                return ExitCode::FAILURE;
             }
             if !all_ok {
                 return ExitCode::FAILURE;

@@ -8,6 +8,7 @@ use socet::cells::DftCosts;
 use socet::flow::{prepare_soc_recorded, prepare_soc_with, PrepareOptions, PreparedSoc};
 use socet::obs::{names, Counter, Recorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
+use socet::verify::{verify_soc, VerifyOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -116,6 +117,51 @@ fn trace_shape_matches_the_pipeline_structure() {
     assert_eq!(rec.counter(Counter::DiskWrites), 1);
     assert_eq!(rec.counter(Counter::Workers), 1);
     assert_eq!(rec.dropped_spans(), 0);
+}
+
+#[test]
+fn replay_trace_shape_and_work_counts() {
+    // The work counts are deterministic. System 1's full paper design point
+    // simulates 16 714 packed cycles (24 570 checks, 122 010 bits); System
+    // 2 capped at 4 vectors simulates 11 059, its last check + 1.
+    for (soc, cap, cycles) in [
+        (socet::socs::barcode_system(), None, 16_714),
+        (socet::socs::system2(), Some(4), 11_059),
+    ] {
+        let n = soc.cores().len();
+        let opts = VerifyOptions {
+            max_vectors: cap,
+            ..VerifyOptions::default()
+        };
+        let mut rec = Recorder::new();
+        let report = {
+            let _sink = rec.install();
+            verify_soc(&soc, 105, &vec![0; n], &opts).expect("oracle runs")
+        };
+        assert!(report.ok(), "{}", report.render());
+        assert_eq!(rec.counter(Counter::VerifyCycles), cycles);
+        if cap.is_none() {
+            assert_eq!(rec.counter(Counter::VerifyChecks), 24_570);
+            assert_eq!(rec.counter(Counter::VerifyBits), 122_010);
+        }
+        let spans = rec.spans();
+        for (name, want) in [
+            (
+                names::VERIFY_BUILD,
+                vec![names::VERIFY, names::VERIFY_BUILD],
+            ),
+            (
+                names::VERIFY_SIMULATE,
+                vec![names::VERIFY, names::VERIFY_SIMULATE],
+            ),
+        ] {
+            let at: Vec<usize> = (0..spans.len())
+                .filter(|&i| spans[i].name == name)
+                .collect();
+            assert_eq!(at.len(), 1, "one {name} span per replay");
+            assert_eq!(path(spans, at[0]), want);
+        }
+    }
 }
 
 #[test]

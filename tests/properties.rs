@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use socet::atpg::{fault_list, generate_tests, FaultSim, TpgConfig};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{schedule, CoreTestData};
-use socet::gate::{elaborate, CombSim, PackedSim};
+use socet::gate::{
+    elaborate, CombSim, GateKind, GateNetlist, GateNetlistBuilder, PackedSim, SignalId,
+};
 use socet::hscan::insert_hscan;
 use socet::rtl::{Core, CoreBuilder, Direction, RegisterId, RtlNode, SocBuilder};
 use socet::transparency::synthesize_versions;
@@ -45,6 +47,127 @@ fn random_core(n_regs: usize, width: u16, extra_edges: &[(usize, usize)]) -> Cor
             .expect("consistent");
     }
     b.build().expect("randomly generated core is consistent")
+}
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn bit(&mut self) -> bool {
+        self.next() & 1 != 0
+    }
+}
+
+/// A random gate netlist over every gate kind: inputs, constants and
+/// flip-flops (some fed back from later logic), then combinational gates
+/// reading earlier signals, a few of them outputs.
+fn random_netlist(seed: u64) -> GateNetlist {
+    const KINDS: [GateKind; 9] = [
+        GateKind::Not,
+        GateKind::Buf,
+        GateKind::And2,
+        GateKind::Or2,
+        GateKind::Nand2,
+        GateKind::Nor2,
+        GateKind::Xor2,
+        GateKind::Xnor2,
+        GateKind::Mux2,
+    ];
+    let mut rng = XorShift(seed | 1);
+    let mut b = GateNetlistBuilder::new("random");
+    let mut sigs: Vec<SignalId> = (0..1 + rng.next() % 5)
+        .map(|i| b.input(&format!("i{i}")))
+        .collect();
+    sigs.push(b.const0());
+    sigs.push(b.const1());
+    let ffs: Vec<SignalId> = (0..rng.next() % 4).map(|_| b.dff_deferred()).collect();
+    sigs.extend(&ffs);
+    for _ in 0..5 + rng.next() % 40 {
+        let mut pick = || sigs[(rng.next() % sigs.len() as u64) as usize];
+        let (x, y, z) = (pick(), pick(), pick());
+        let kind = KINDS[(rng.next() % KINDS.len() as u64) as usize];
+        sigs.push(match kind.arity() {
+            1 => b.gate1(kind, x),
+            2 => b.gate2(kind, x, y),
+            _ => b.mux(x, y, z),
+        });
+    }
+    for q in ffs {
+        b.set_dff_input(q, sigs[(rng.next() % sigs.len() as u64) as usize]);
+    }
+    for k in 0..1 + rng.next() % 4 {
+        b.output(
+            &format!("o{k}"),
+            sigs[(rng.next() % sigs.len() as u64) as usize],
+        );
+    }
+    b.build().expect("acyclic by construction")
+}
+
+/// Scalar reference interpreter: each signal evaluated on demand from its
+/// gate's definition (no topological order), with `fault` forcing its
+/// signal wherever it is read.
+fn reference(
+    nl: &GateNetlist,
+    pi: &[bool],
+    ff: &[bool],
+    fault: Option<(SignalId, bool)>,
+) -> Vec<bool> {
+    fn value(
+        nl: &GateNetlist,
+        s: SignalId,
+        memo: &mut [Option<bool>],
+        fault: Option<(SignalId, bool)>,
+    ) -> bool {
+        match (fault, memo[s.index()]) {
+            (Some((f, stuck)), _) if f == s => return stuck,
+            (_, Some(v)) => return v,
+            _ => {}
+        }
+        let gate = nl.gate(s);
+        let x: Vec<bool> = gate
+            .operands()
+            .iter()
+            .map(|o| value(nl, *o, memo, fault))
+            .collect();
+        let v = match gate.kind {
+            GateKind::Const1 => true,
+            GateKind::Const0 | GateKind::Input | GateKind::Dff => false,
+            GateKind::Not => !x[0],
+            GateKind::Buf => x[0],
+            GateKind::And2 => x[0] && x[1],
+            GateKind::Or2 => x[0] || x[1],
+            GateKind::Nand2 => !(x[0] && x[1]),
+            GateKind::Nor2 => !(x[0] || x[1]),
+            GateKind::Xor2 => x[0] != x[1],
+            GateKind::Xnor2 => x[0] == x[1],
+            GateKind::Mux2 => {
+                if x[0] {
+                    x[2]
+                } else {
+                    x[1]
+                }
+            }
+        };
+        memo[s.index()] = Some(v);
+        v
+    }
+    let mut memo = vec![None; nl.gates().len()];
+    for ((_, s), &v) in nl.inputs().iter().zip(pi) {
+        memo[s.index()] = Some(v);
+    }
+    for (q, &v) in nl.flip_flops().iter().zip(ff) {
+        memo[q.index()] = Some(v);
+    }
+    (0..nl.gates().len())
+        .map(|i| value(nl, SignalId::from_index(i), &mut memo, fault))
+        .collect()
 }
 
 proptest! {
@@ -125,38 +248,49 @@ proptest! {
         }
     }
 
-    /// The packed simulator agrees with the scalar simulator on every
-    /// elaborated random core.
+    /// The compiled packed kernel agrees with the scalar reference
+    /// interpreter on every elaborated random core and on random gate
+    /// netlists: 64 distinct vectors in one pass equal 64 scalar runs
+    /// (lane independence), with and without a stuck-at fault forced at
+    /// its defining gate. `CombSim`, which runs lane 0 of the kernel,
+    /// agrees on the first vector.
     #[test]
     fn packed_and_scalar_simulation_agree(
         n in 2usize..6,
         width in 1u16..8,
         edges in prop::collection::vec((0usize..6, 0usize..6), 0..4),
         pattern_seed in 0u64..u64::MAX,
+        netlist_seed in 0u64..u64::MAX,
+        fault_pick in 0usize..4096,
+        stuck in any::<bool>(),
     ) {
         let core = random_core(n, width, &edges);
         let elab = elaborate(&core).expect("elaboration succeeds");
-        let nl = &elab.netlist;
-        let comb = CombSim::new(nl);
-        let packed = PackedSim::new(nl);
-        let n_pi = nl.inputs().len();
-        let n_ff = nl.flip_flop_count();
-        let mut seed = pattern_seed | 1;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed & 1 != 0
-        };
-        let pi: Vec<bool> = (0..n_pi).map(|_| next()).collect();
-        let ff: Vec<bool> = (0..n_ff).map(|_| next()).collect();
-        let scalar = comb.eval_signals(&pi, &ff);
-        let piw: Vec<u64> = pi.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
-        let ffw: Vec<u64> = ff.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
-        let packed_vals = packed.eval(&piw, &ffw, None);
-        for (k, (s, p)) in scalar.iter().zip(&packed_vals).enumerate() {
-            let pbit = p & 1 != 0;
-            prop_assert_eq!(*s, pbit, "signal {} disagrees", k);
+        for nl in [&elab.netlist, &random_netlist(netlist_seed)] {
+            // Each vector is the primary inputs followed by the FF state.
+            let n_pi = nl.inputs().len();
+            let width = n_pi + nl.flip_flop_count();
+            let mut rng = XorShift(pattern_seed | 1);
+            let vectors: Vec<Vec<bool>> = (0..64)
+                .map(|_| (0..width).map(|_| rng.bit()).collect())
+                .collect();
+            let words: Vec<u64> = (0..width)
+                .map(|i| (0..64).fold(0, |w, k| w | u64::from(vectors[k][i]) << k))
+                .collect();
+            let (pi, ff) = words.split_at(n_pi);
+            let site = SignalId::from_index(fault_pick % nl.gates().len());
+            for fault in [None, Some((site, stuck))] {
+                let packed = PackedSim::new(nl).eval(pi, ff, fault);
+                for (k, v) in vectors.iter().enumerate() {
+                    let (vpi, vff) = v.split_at(n_pi);
+                    let want = reference(nl, vpi, vff, fault);
+                    for (s, &w) in want.iter().enumerate() {
+                        prop_assert_eq!(packed[s] >> k & 1 != 0, w, "lane {} signal {} fault {:?}", k, s, fault);
+                    }
+                }
+            }
+            let (vpi, vff) = vectors[0].split_at(n_pi);
+            prop_assert_eq!(CombSim::new(nl).eval_signals(vpi, vff), reference(nl, vpi, vff, None));
         }
     }
 

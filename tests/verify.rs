@@ -46,6 +46,102 @@ fn system2_replays_clean_at_paper_design_point() {
     assert!(report.episodes.iter().all(|e| e.system_mux_routes == 0));
 }
 
+/// `soctool verify system1 --stats` at the paper design point: every
+/// vector of every episode replayed (105 combinational vectors per core).
+const SYSTEM1_FULL: &str = "\
+replay oracle: System1 @ choice [0, 0, 0, 0, 0]\n\
+\x20 shell 876 gates / 184 ffs; functional flattening 2337 gates / 296 ffs\n\
+\x20 episode 0 (PREPROCESSOR): 945/945 vectors, 2 in + 3 out routes (2 system-mux), 2835 checks, 15120 bits (0 untracked), 0 hold-gaps\n\
+\x20 episode 1 (CPU): 1155/1155 vectors, 3 in + 4 out routes (2 system-mux), 5775 checks, 19635 bits (8085 untracked), 0 hold-gaps\n\
+\x20 episode 2 (DISPLAY): 525/525 vectors, 3 in + 6 out routes (0 system-mux), 4725 checks, 30450 bits (2100 untracked), 2100 hold-gaps\n\
+\x20 parallel: 3 windows, makespan 16722 (serial 16722), 12285 checks\n\
+\x20 verdict: PASS\n\
+";
+
+/// `soctool verify system2 --stats` at the paper design point.
+const SYSTEM2_FULL: &str = "\
+replay oracle: System2 @ choice [0, 0, 0]\n\
+\x20 shell 757 gates / 201 ffs; functional flattening 1735 gates / 249 ffs\n\
+\x20 episode 0 (GRAPHICS): 945/945 vectors, 2 in + 2 out routes (0 system-mux), 3780 checks, 28350 bits (0 untracked), 0 hold-gaps\n\
+\x20 episode 1 (GCD): 315/315 vectors, 3 in + 2 out routes (0 system-mux), 1575 checks, 11970 bits (0 untracked), 0 hold-gaps\n\
+\x20 episode 2 (X25): 945/945 vectors, 2 in + 2 out routes (0 system-mux), 3780 checks, 24570 bits (0 untracked), 0 hold-gaps\n\
+\x20 parallel: 3 windows, makespan 12947 (serial 12947), 9135 checks\n\
+\x20 verdict: PASS\n\
+";
+
+#[test]
+fn full_paper_design_points_render_golden_reports() {
+    for (soc, golden) in [
+        (socet::socs::barcode_system(), SYSTEM1_FULL),
+        (socet::socs::system2(), SYSTEM2_FULL),
+    ] {
+        let n = soc.cores().len();
+        let report =
+            verify_soc(&soc, 105, &vec![0; n], &VerifyOptions::default()).expect("oracle runs");
+        assert_eq!(report.render(), golden);
+    }
+}
+
+#[test]
+fn skew_on_each_system1_input_route_stays_in_its_own_lane() {
+    // Every (episode, input route, ±1) skew of System 1. A skew shows only
+    // where the physical word differs one cycle off the claim: some -1
+    // claims hold physically, because the word already sits at the CUT
+    // input one cycle early, and DISPLAY's routes 0 and 1 are all
+    // hold-gap-skipped (see the report's hold-gaps). The flagged set is
+    // pinned, and a flagged skew never leaks into another episode's lane.
+    const FLAGGED: [(usize, usize, i64); 9] = [
+        (0, 0, 1),
+        (0, 1, 1),
+        (1, 0, -1),
+        (1, 0, 1),
+        (1, 1, 1),
+        (1, 2, -1),
+        (1, 2, 1),
+        (2, 2, -1),
+        (2, 2, 1),
+    ];
+    // Every vector replayed: a 1-bit route sees a ±1 skew only where its
+    // noise bit differs between adjacent cycles, about every other vector.
+    let soc = socet::socs::barcode_system();
+    let n = soc.cores().len();
+    let clean = verify_soc(&soc, 3, &vec![0; n], &VerifyOptions::default()).expect("oracle runs");
+    let mut flagged = Vec::new();
+    for (episode, ep) in clean.episodes.iter().enumerate() {
+        for route in 0..ep.input_routes {
+            for delta in [-1i64, 1] {
+                let opts = VerifyOptions {
+                    skew: Some(Skew {
+                        episode,
+                        route,
+                        delta,
+                    }),
+                    ..VerifyOptions::default()
+                };
+                let report = verify_soc(&soc, 3, &vec![0; n], &opts).expect("oracle runs");
+                if report.ok() {
+                    continue;
+                }
+                flagged.push((episode, route, delta));
+                for phase in ["serial", "parallel"] {
+                    assert!(
+                        report.violations.iter().any(|v| v.phase == phase),
+                        "{phase} lane missed skew ({episode}, {route}, {delta})"
+                    );
+                }
+                assert!(
+                    report.violations.iter().all(|v| v.episode == episode
+                        && v.detail.contains("invariant a")
+                        && v.detail.contains(&format!("route {route} "))),
+                    "skew ({episode}, {route}, {delta}) leaked:\n{}",
+                    report.render()
+                );
+            }
+        }
+    }
+    assert_eq!(flagged, FLAGGED);
+}
+
 #[test]
 fn non_default_design_points_replay_clean() {
     // Walk a few non-zero version choices on both systems: the shell is
