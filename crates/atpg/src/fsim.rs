@@ -22,6 +22,7 @@
 
 use crate::fault::Fault;
 use crate::metrics::AtpgMetrics;
+use socet_gate::sim::eval;
 use socet_gate::{GateKind, GateNetlist, PackedSim, SignalId};
 use socet_obs::names;
 
@@ -448,21 +449,8 @@ fn fault_mask(
     for &g in &cone.gates {
         let gate = nl.gate(g);
         let ops = gate.operands();
-        let val = match gate.kind {
-            GateKind::Not => !scratch.get(good, ops[0]),
-            GateKind::Buf => scratch.get(good, ops[0]),
-            GateKind::And2 => scratch.get(good, ops[0]) & scratch.get(good, ops[1]),
-            GateKind::Or2 => scratch.get(good, ops[0]) | scratch.get(good, ops[1]),
-            GateKind::Nand2 => !(scratch.get(good, ops[0]) & scratch.get(good, ops[1])),
-            GateKind::Nor2 => !(scratch.get(good, ops[0]) | scratch.get(good, ops[1])),
-            GateKind::Xor2 => scratch.get(good, ops[0]) ^ scratch.get(good, ops[1]),
-            GateKind::Xnor2 => !(scratch.get(good, ops[0]) ^ scratch.get(good, ops[1])),
-            GateKind::Mux2 => {
-                let sel = scratch.get(good, ops[0]);
-                (!sel & scratch.get(good, ops[1])) | (sel & scratch.get(good, ops[2]))
-            }
-            _ => unreachable!("cones hold only combinational gates"),
-        };
+        let x = |i: usize| ops.get(i).map_or(0, |&o| scratch.get(good, o));
+        let val = eval(gate.kind, x(0), x(1), x(2));
         scratch.set(g, val);
     }
     metrics.cone_gate_evals += cone.gates.len() as u64;

@@ -1,16 +1,18 @@
 //! PODEM: path-oriented decision making, the classic complete combinational
 //! ATPG algorithm, on the full-scan view of a gate netlist.
 //!
-//! The implementation keeps two three-valued planes per signal — the good
-//! machine and the faulty machine — so the composite values 0/1/X/D/D̄ fall
-//! out of plane comparison. Implication is a full forward resimulation of
-//! the combinational cone (circuits at core granularity are small enough
-//! that incremental implication buys nothing), decisions are made only on
-//! primary inputs via objective backtrace, and an X-path check prunes
-//! decisions that can no longer propagate the fault to an output.
+//! Implication is one pass of `socet-gate`'s compiled kernel over [`P3`]
+//! (0/1/X) words with the good machine in lane 0 and the faulty machine in
+//! lane 1 — the stuck-at force is applied on lane 1 only — so the
+//! composite values 0/1/X/D/D̄ fall out of comparing the two lanes. The
+//! pass resimulates the whole combinational view (circuits at core
+//! granularity are small enough that incremental implication buys
+//! nothing), decisions are made only on primary inputs via objective
+//! backtrace, and an X-path check prunes decisions that can no longer
+//! propagate the fault to an output.
 
 use crate::fault::Fault;
-use socet_gate::{GateKind, GateNetlist, SignalId, Tri};
+use socet_gate::{Force, GateKind, GateNetlist, PackedSim, SignalId, Tri, P3};
 
 /// The outcome of one PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,13 +50,16 @@ pub enum PodemOutcome {
 #[derive(Debug)]
 pub struct Podem<'a> {
     nl: &'a GateNetlist,
+    sim: PackedSim<'a>,
     pis: Vec<SignalId>,
     pos: Vec<SignalId>,
     /// Position of each signal in `pis`, or `usize::MAX`.
     pi_pos: Vec<usize>,
     max_backtracks: usize,
-    good: Vec<Tri>,
-    faulty: Vec<Tri>,
+    /// The assignment as kernel words: real inputs, then flip-flops.
+    words: Vec<P3>,
+    /// Implied values: the good machine in lane 0, the faulty in lane 1.
+    values: Vec<P3>,
 }
 
 impl<'a> Podem<'a> {
@@ -68,12 +73,13 @@ impl<'a> Podem<'a> {
         }
         Podem {
             nl,
+            sim: PackedSim::new(nl),
             pis,
             pos,
             pi_pos,
             max_backtracks,
-            good: Vec::new(),
-            faulty: Vec::new(),
+            words: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -131,50 +137,21 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Forward-simulates both planes under the PI assignment.
+    /// Implies both machines under the PI assignment in one kernel pass.
     fn imply(&mut self, assignment: &[Tri], fault: Fault) {
-        let n = self.nl.gates().len();
-        self.good.clear();
-        self.good.resize(n, Tri::X);
-        self.faulty.clear();
-        self.faulty.resize(n, Tri::X);
-        for (i, s) in self.pis.iter().enumerate() {
-            self.good[s.index()] = assignment[i];
-            self.faulty[s.index()] = assignment[i];
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => {
-                    self.good[i] = Tri::Zero;
-                    self.faulty[i] = Tri::Zero;
-                }
-                GateKind::Const1 => {
-                    self.good[i] = Tri::One;
-                    self.faulty[i] = Tri::One;
-                }
-                _ => {}
-            }
-        }
-        // Inject at fault site if it is a PI/FF/const.
-        let site = fault.signal.index();
-        let site_kind = self.nl.gate(fault.signal).kind;
-        if matches!(
-            site_kind,
-            GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-        ) {
-            self.faulty[site] = Tri::from_bool(fault.stuck_at_one);
-        }
-        let order: &[SignalId] = self.nl.topo_order();
-        for s in order {
-            let g = self.nl.gate(*s);
-            let gv = eval_gate(g.kind, g.operands(), &self.good);
-            let fv = eval_gate(g.kind, g.operands(), &self.faulty);
-            self.good[s.index()] = gv;
-            self.faulty[s.index()] = fv;
-            if s.index() == site {
-                self.faulty[site] = Tri::from_bool(fault.stuck_at_one);
-            }
-        }
+        self.words.clear();
+        self.words.extend(assignment.iter().map(|&t| P3::splat(t)));
+        let (pi, ff) = self.words.split_at(self.nl.inputs().len());
+        let force = Force::stuck(fault.signal, fault.stuck_at_one, 0b10);
+        self.sim.eval_forced(pi, ff, &[force], &mut self.values);
+    }
+
+    fn good(&self, s: SignalId) -> Tri {
+        self.values[s.index()].lane(0)
+    }
+
+    fn faulty(&self, s: SignalId) -> Tri {
+        self.values[s.index()].lane(1)
     }
 
     /// Whether a fault effect (definite, differing planes) reaches a PO.
@@ -184,13 +161,13 @@ impl<'a> Podem<'a> {
 
     fn effect_at(&self, s: SignalId) -> bool {
         matches!(
-            (self.good[s.index()], self.faulty[s.index()]),
+            (self.good(s), self.faulty(s)),
             (Tri::Zero, Tri::One) | (Tri::One, Tri::Zero)
         )
     }
 
     fn is_x(&self, s: SignalId) -> bool {
-        self.good[s.index()] == Tri::X || self.faulty[s.index()] == Tri::X
+        self.good(s) == Tri::X || self.faulty(s) == Tri::X
     }
 
     /// Next objective `(signal, value)`:
@@ -307,7 +284,7 @@ impl<'a> Podem<'a> {
         loop {
             let pi = self.pi_pos[sig.index()];
             if pi != usize::MAX {
-                if self.good[sig.index()] != Tri::X {
+                if self.good(sig) != Tri::X {
                     return None; // already assigned; objective unreachable
                 }
                 return Some((pi, val));
@@ -345,9 +322,8 @@ impl<'a> Podem<'a> {
                         }
                         GateKind::Xor2 | GateKind::Xnor2 => {
                             let other = ops.iter().find(|o| *o != pick).copied();
-                            let other_val = other
-                                .and_then(|o| self.good[o.index()].to_bool())
-                                .unwrap_or(false);
+                            let other_val =
+                                other.and_then(|o| self.good(o).to_bool()).unwrap_or(false);
                             val = inner ^ other_val;
                         }
                         _ => unreachable!(),
@@ -357,7 +333,7 @@ impl<'a> Podem<'a> {
                 GateKind::Mux2 => {
                     let ops = g.operands();
                     let (sel, a0, a1) = (ops[0], ops[1], ops[2]);
-                    match self.good[sel.index()].to_bool() {
+                    match self.good(sel).to_bool() {
                         Some(false) => sig = a0,
                         Some(true) => sig = a1,
                         None => {
@@ -372,66 +348,6 @@ impl<'a> Podem<'a> {
                 }
             }
         }
-    }
-}
-
-fn eval_gate(kind: GateKind, ops: &[SignalId], v: &[Tri]) -> Tri {
-    let g = |i: usize| v[ops[i].index()];
-    match kind {
-        GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
-            // Not evaluated here; values pre-seeded.
-            Tri::X
-        }
-        GateKind::Not => not3(g(0)),
-        GateKind::Buf => g(0),
-        GateKind::And2 => and3(g(0), g(1)),
-        GateKind::Or2 => or3(g(0), g(1)),
-        GateKind::Nand2 => not3(and3(g(0), g(1))),
-        GateKind::Nor2 => not3(or3(g(0), g(1))),
-        GateKind::Xor2 => xor3(g(0), g(1)),
-        GateKind::Xnor2 => not3(xor3(g(0), g(1))),
-        GateKind::Mux2 => match g(0) {
-            Tri::Zero => g(1),
-            Tri::One => g(2),
-            Tri::X => {
-                if g(1) == g(2) {
-                    g(1)
-                } else {
-                    Tri::X
-                }
-            }
-        },
-    }
-}
-
-fn not3(a: Tri) -> Tri {
-    match a {
-        Tri::Zero => Tri::One,
-        Tri::One => Tri::Zero,
-        Tri::X => Tri::X,
-    }
-}
-
-fn and3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::Zero, _) | (_, Tri::Zero) => Tri::Zero,
-        (Tri::One, Tri::One) => Tri::One,
-        _ => Tri::X,
-    }
-}
-
-fn or3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::One, _) | (_, Tri::One) => Tri::One,
-        (Tri::Zero, Tri::Zero) => Tri::Zero,
-        _ => Tri::X,
-    }
-}
-
-fn xor3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::X, _) | (_, Tri::X) => Tri::X,
-        (x, y) => Tri::from_bool(x != y),
     }
 }
 

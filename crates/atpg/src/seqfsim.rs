@@ -2,19 +2,19 @@
 //!
 //! The paper's "Orig." and "HSCAN-only" rows of Table 3 fault-simulate the
 //! *sequential* chip (no scan access) against test sequences. Doing that
-//! fault-serially is quadratic and slow, so this simulator packs up to 64
-//! faulty machines into each `u64` word: lane *k* of every signal carries
-//! the value seen by fault *k* of the current block. Values are three-valued
-//! (flip-flops power up unknown), encoded as a pair of definite-1 /
-//! definite-0 bit masks per signal.
+//! fault-serially is quadratic and slow, so this simulator runs up to 64
+//! faulty machines per pass of `socet-gate`'s compiled kernel over
+//! [`P3`] words (dual-rail 0/1/X, since flip-flops power up unknown): lane
+//! *k* of every signal carries the value seen by fault *k* of the current
+//! block, whose stuck-at [`Force`] is applied on lane *k* only.
 //!
 //! Fault blocks are mutually independent — each shares only the read-only
-//! netlist and good-machine reference — so [`SeqFaultSim::run_from`]
+//! kernel and the good-machine reference — so [`SeqFaultSim::run_from`]
 //! additionally partitions them across scoped threads; results are
 //! bit-identical for any worker count.
 
 use crate::fault::Fault;
-use socet_gate::{GateKind, GateNetlist, SeqSim, Tri};
+use socet_gate::{Force, GateNetlist, PackedSim, Tri, P3};
 
 /// Fault-parallel sequential fault simulator.
 ///
@@ -38,77 +38,9 @@ use socet_gate::{GateKind, GateNetlist, SeqSim, Tri};
 #[derive(Debug)]
 pub struct SeqFaultSim<'a> {
     nl: &'a GateNetlist,
+    sim: PackedSim<'a>,
     /// Worker cap for block partitioning (1 forces serial evaluation).
     workers: usize,
-}
-
-/// Packed three-valued word: definite-1 and definite-0 lane masks.
-#[derive(Debug, Clone, Copy, Default)]
-struct P3 {
-    d1: u64,
-    d0: u64,
-}
-
-impl P3 {
-    const X: P3 = P3 { d1: 0, d0: 0 };
-
-    fn splat(t: Tri) -> P3 {
-        match t {
-            Tri::One => P3 {
-                d1: u64::MAX,
-                d0: 0,
-            },
-            Tri::Zero => P3 {
-                d1: 0,
-                d0: u64::MAX,
-            },
-            Tri::X => P3::X,
-        }
-    }
-
-    fn not(self) -> P3 {
-        P3 {
-            d1: self.d0,
-            d0: self.d1,
-        }
-    }
-
-    fn and(self, o: P3) -> P3 {
-        P3 {
-            d1: self.d1 & o.d1,
-            d0: self.d0 | o.d0,
-        }
-    }
-
-    fn or(self, o: P3) -> P3 {
-        P3 {
-            d1: self.d1 | o.d1,
-            d0: self.d0 & o.d0,
-        }
-    }
-
-    fn xor(self, o: P3) -> P3 {
-        P3 {
-            d1: (self.d1 & o.d0) | (self.d0 & o.d1),
-            d0: (self.d1 & o.d1) | (self.d0 & o.d0),
-        }
-    }
-
-    fn mux(s: P3, a0: P3, a1: P3) -> P3 {
-        let sx = !(s.d0 | s.d1);
-        P3 {
-            d1: (s.d0 & a0.d1) | (s.d1 & a1.d1) | (sx & a0.d1 & a1.d1),
-            d0: (s.d0 & a0.d0) | (s.d1 & a1.d0) | (sx & a0.d0 & a1.d0),
-        }
-    }
-
-    /// Applies stuck-at injection masks.
-    fn inject(self, m1: u64, m0: u64) -> P3 {
-        P3 {
-            d1: (self.d1 & !m0) | m1,
-            d0: (self.d0 & !m1) | m0,
-        }
-    }
 }
 
 impl<'a> SeqFaultSim<'a> {
@@ -116,6 +48,7 @@ impl<'a> SeqFaultSim<'a> {
     pub fn new(nl: &'a GateNetlist) -> Self {
         SeqFaultSim {
             nl,
+            sim: PackedSim::new(nl),
             workers: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1),
@@ -144,12 +77,13 @@ impl<'a> SeqFaultSim<'a> {
     /// Like [`SeqFaultSim::run`] but with every flip-flop initialized to
     /// `init` — pass [`Tri::Zero`] to model a chip that starts from reset.
     pub fn run_from(&self, faults: &[Fault], vectors: &[Vec<Tri>], init: Tri) -> Vec<bool> {
+        let vectors: Vec<Vec<P3>> = vectors
+            .iter()
+            .map(|v| v.iter().map(|&t| P3::splat(t)).collect())
+            .collect();
         // Reference (good-machine) outputs per cycle.
-        let mut good_sim = match init {
-            Tri::Zero => SeqSim::new_reset(self.nl),
-            _ => SeqSim::new(self.nl),
-        };
-        let good_outputs: Vec<Vec<Tri>> = vectors.iter().map(|v| good_sim.step(v, None)).collect();
+        let mut good = Vec::with_capacity(vectors.len());
+        self.clock(&vectors, init, &[], |outs| good.push(outs.to_vec()));
 
         let mut detected = vec![false; faults.len()];
         let mut blocks: Vec<(&[Fault], &mut [bool])> =
@@ -160,105 +94,74 @@ impl<'a> SeqFaultSim<'a> {
             // 64-fault blocks per worker, each writing its own disjoint
             // slice of the detection map, so the merge is the identity.
             let per = blocks.len().div_ceil(workers);
-            let good_outputs = &good_outputs;
+            let (vectors, good) = (&vectors, &good);
             std::thread::scope(|s| {
                 for part in blocks.chunks_mut(per) {
                     s.spawn(move || {
                         for (block, det) in part.iter_mut() {
-                            let d = self.run_block(block, vectors, good_outputs, init);
-                            det.copy_from_slice(&d);
+                            self.run_block(block, vectors, good, init, det);
                         }
                     });
                 }
             });
         } else {
             for (block, det) in blocks.iter_mut() {
-                let d = self.run_block(block, vectors, &good_outputs, init);
-                det.copy_from_slice(&d);
+                self.run_block(block, &vectors, &good, init, det);
             }
         }
         detected
     }
 
+    /// Clocks `vectors` through the kernel from every flip-flop at `init`,
+    /// with `forces` (sorted) applied each cycle, handing each cycle's
+    /// primary-output words to `observe`.
+    fn clock(
+        &self,
+        vectors: &[Vec<P3>],
+        init: Tri,
+        forces: &[Force],
+        mut observe: impl FnMut(&[P3]),
+    ) {
+        let (sim, nl) = (&self.sim, self.nl);
+        let mut state = vec![P3::splat(init); nl.flip_flop_count()];
+        let (mut values, mut outs) = (Vec::new(), Vec::new());
+        for pi in vectors {
+            sim.eval_forced(pi, &state, forces, &mut values);
+            outs.clear();
+            outs.extend((0..nl.outputs().len()).map(|i| sim.output(&values, i)));
+            observe(&outs);
+            sim.next_state_into(&values, &mut state);
+        }
+    }
+
+    /// Simulates one block of ≤64 faults, fault *k* in lane *k*, and marks
+    /// `det[k]` when lane *k* ever shows a definite value opposite to the
+    /// good machine's at a primary output.
     fn run_block(
         &self,
         block: &[Fault],
-        vectors: &[Vec<Tri>],
-        good_outputs: &[Vec<Tri>],
+        vectors: &[Vec<P3>],
+        good: &[Vec<P3>],
         init: Tri,
-    ) -> Vec<bool> {
-        let n = self.nl.gates().len();
-        // Injection masks per signal.
-        let mut m1 = vec![0u64; n];
-        let mut m0 = vec![0u64; n];
-        for (k, f) in block.iter().enumerate() {
-            if f.stuck_at_one {
-                m1[f.signal.index()] |= 1 << k;
-            } else {
-                m0[f.signal.index()] |= 1 << k;
+        det: &mut [bool],
+    ) {
+        let mut forces: Vec<Force> = block
+            .iter()
+            .enumerate()
+            .map(|(k, f)| Force::stuck(f.signal, f.stuck_at_one, 1 << k))
+            .collect();
+        self.sim.sort_forces(&mut forces);
+        let mut lanes = 0u64;
+        let mut cycle = 0;
+        self.clock(vectors, init, &forces, |outs| {
+            for (g, f) in good[cycle].iter().zip(outs) {
+                lanes |= (g.d1 & f.d0) | (g.d0 & f.d1);
             }
+            cycle += 1;
+        });
+        for (k, d) in det.iter_mut().enumerate() {
+            *d = lanes >> k & 1 != 0;
         }
-        let ffs = self.nl.flip_flops();
-        let mut state: Vec<P3> = vec![P3::splat(init); ffs.len()];
-        let mut detected_lanes = 0u64;
-        let used: u64 = if block.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << block.len()) - 1
-        };
-
-        for (cycle, vector) in vectors.iter().enumerate() {
-            assert_eq!(vector.len(), self.nl.inputs().len(), "vector width");
-            let mut v = vec![P3::X; n];
-            for ((_, s), t) in self.nl.inputs().iter().zip(vector) {
-                v[s.index()] = P3::splat(*t).inject(m1[s.index()], m0[s.index()]);
-            }
-            for (q, st) in ffs.iter().zip(&state) {
-                v[q.index()] = st.inject(m1[q.index()], m0[q.index()]);
-            }
-            for (i, g) in self.nl.gates().iter().enumerate() {
-                match g.kind {
-                    GateKind::Const0 => v[i] = P3::splat(Tri::Zero).inject(m1[i], m0[i]),
-                    GateKind::Const1 => v[i] = P3::splat(Tri::One).inject(m1[i], m0[i]),
-                    _ => {}
-                }
-            }
-            for s in self.nl.topo_order() {
-                let g = self.nl.gate(*s);
-                let ops = g.operands();
-                let val = match g.kind {
-                    GateKind::Not => v[ops[0].index()].not(),
-                    GateKind::Buf => v[ops[0].index()],
-                    GateKind::And2 => v[ops[0].index()].and(v[ops[1].index()]),
-                    GateKind::Or2 => v[ops[0].index()].or(v[ops[1].index()]),
-                    GateKind::Nand2 => v[ops[0].index()].and(v[ops[1].index()]).not(),
-                    GateKind::Nor2 => v[ops[0].index()].or(v[ops[1].index()]).not(),
-                    GateKind::Xor2 => v[ops[0].index()].xor(v[ops[1].index()]),
-                    GateKind::Xnor2 => v[ops[0].index()].xor(v[ops[1].index()]).not(),
-                    GateKind::Mux2 => {
-                        P3::mux(v[ops[0].index()], v[ops[1].index()], v[ops[2].index()])
-                    }
-                    _ => unreachable!("topo order holds only combinational gates"),
-                };
-                v[s.index()] = val.inject(m1[s.index()], m0[s.index()]);
-            }
-            // Detection at primary outputs.
-            for ((_, s), good) in self.nl.outputs().iter().zip(&good_outputs[cycle]) {
-                match good {
-                    Tri::One => detected_lanes |= v[s.index()].d0 & used,
-                    Tri::Zero => detected_lanes |= v[s.index()].d1 & used,
-                    Tri::X => {}
-                }
-            }
-            // Clock.
-            for (i, q) in ffs.iter().enumerate() {
-                let d = self.nl.gate(*q).operands()[0];
-                state[i] = v[d.index()].inject(m1[q.index()], m0[q.index()]);
-            }
-        }
-        (0..block.len())
-            .map(|k| detected_lanes >> k & 1 != 0)
-            .collect()
     }
 }
 
@@ -266,7 +169,7 @@ impl<'a> SeqFaultSim<'a> {
 mod tests {
     use super::*;
     use crate::fault::fault_list;
-    use socet_gate::GateNetlistBuilder;
+    use socet_gate::{GateNetlistBuilder, SeqSim};
 
     fn dff_chain(len: usize) -> GateNetlist {
         let mut b = GateNetlistBuilder::new("chain");
@@ -315,7 +218,8 @@ mod tests {
 
     #[test]
     fn agrees_with_scalar_seq_sim() {
-        // Cross-check one fault against SeqSim's scalar fault injection.
+        // Cross-check against SeqSim's lane-0 fault injection, fault by
+        // fault (the independent scalar oracle is in tests/properties.rs).
         let nl = dff_chain(2);
         let faults = fault_list(&nl);
         let vectors: Vec<Vec<Tri>> = [Tri::One, Tri::Zero, Tri::One, Tri::One, Tri::Zero]

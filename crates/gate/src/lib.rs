@@ -11,11 +11,17 @@
 //!   [`Core`](socet_rtl::Core) into gates (registers → DFFs, mux trees →
 //!   MUX2 chains, functional units → ripple structures, random blocks →
 //!   seeded gate networks);
-//! * [`CombSim`] — two-valued event-free simulation in topological order;
-//! * [`PackedSim`] — 64-way bit-parallel pattern simulation, the workhorse
-//!   of the fault simulator in `socet-atpg`;
+//! * [`PackedSim`] — the one gate-evaluation kernel: a levelized op array
+//!   compiled once per netlist, evaluated over 64 lanes of a [`Word`]
+//!   (`u64` for two-valued lanes, [`P3`] for 0/1/X lanes) with per-lane
+//!   stuck-at [`Force`]s; [`sim::eval`] is the only statement of gate
+//!   semantics;
+//! * [`CombSim`] — two-valued simulation, lane 0 of the kernel over `u64`;
 //! * [`SeqSim`] — three-valued (0/1/X) sequential simulation for the
-//!   un-DFT'd "Orig." experiments.
+//!   un-DFT'd "Orig." experiments, lane 0 of the kernel over [`P3`].
+//!
+//! The fault simulators and PODEM in `socet-atpg` are drivers over the
+//! same kernel.
 //!
 //! # Examples
 //!
@@ -41,7 +47,7 @@ pub mod sim;
 
 pub use elaborate::{elaborate, elaborate_with, ElabOptions, Elaborated};
 pub use netlist::{Gate, GateError, GateKind, GateNetlist, GateNetlistBuilder, SignalId};
-pub use sim::{CombSim, PackedSim, SeqSim, Tri};
+pub use sim::{CombSim, Force, PackedSim, SeqSim, Tri, Word, P3};
 
 #[cfg(test)]
 mod tests {

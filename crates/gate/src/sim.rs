@@ -1,4 +1,5 @@
-//! Logic simulation: two-valued, 64-way packed, and three-valued sequential.
+//! Logic simulation: one compiled gate kernel ([`PackedSim`] over a lane
+//! [`Word`]) and its two-valued, three-valued and sequential drivers.
 
 use crate::netlist::{GateKind, GateNetlist, SignalId};
 use std::fmt;
@@ -90,16 +91,202 @@ struct Op {
     ops: [u32; 3],
 }
 
-/// 64-way bit-parallel pattern simulator: each signal carries a `u64` whose
-/// bit *k* is the value under pattern *k*.
+/// A lane word: one signal's value in 64 independent simulation lanes.
+///
+/// `u64` carries 64 two-valued lanes; [`P3`] carries 64 lanes of 0/1/X.
+/// [`eval`] over these operations is the only statement of gate semantics
+/// in the workspace.
+pub trait Word: Copy + fmt::Debug {
+    /// Every lane 0.
+    const ZERO: Self;
+    /// Every lane 1.
+    const ONE: Self;
+    /// Lane-wise NOT.
+    fn not(self) -> Self;
+    /// Lane-wise AND.
+    fn and(self, o: Self) -> Self;
+    /// Lane-wise OR.
+    fn or(self, o: Self) -> Self;
+    /// Lane-wise XOR.
+    fn xor(self, o: Self) -> Self;
+    /// Lane-wise 2:1 mux: `a0` where `s` is 0, `a1` where it is 1.
+    fn mux(s: Self, a0: Self, a1: Self) -> Self;
+    /// Forces the lanes set in `one` to 1 and the lanes set in `zero` to 0.
+    fn force(self, one: u64, zero: u64) -> Self;
+}
+
+impl Word for u64 {
+    const ZERO: u64 = 0;
+    const ONE: u64 = u64::MAX;
+
+    fn not(self) -> u64 {
+        !self
+    }
+
+    fn and(self, o: u64) -> u64 {
+        self & o
+    }
+
+    fn or(self, o: u64) -> u64 {
+        self | o
+    }
+
+    fn xor(self, o: u64) -> u64 {
+        self ^ o
+    }
+
+    fn mux(s: u64, a0: u64, a1: u64) -> u64 {
+        (!s & a0) | (s & a1)
+    }
+
+    fn force(self, one: u64, zero: u64) -> u64 {
+        (self & !zero) | one
+    }
+}
+
+/// 64 lanes of three-valued logic in dual-rail form: bit *k* of `d1`
+/// (`d0`) is set when lane *k* is a definite 1 (0); neither set is X.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct P3 {
+    /// Lanes that are a definite 1.
+    pub d1: u64,
+    /// Lanes that are a definite 0.
+    pub d0: u64,
+}
+
+impl P3 {
+    /// Every lane X.
+    pub const X: P3 = P3 { d1: 0, d0: 0 };
+
+    /// `t` in every lane.
+    pub fn splat(t: Tri) -> P3 {
+        match t {
+            Tri::One => P3::ONE,
+            Tri::Zero => P3::ZERO,
+            Tri::X => P3::X,
+        }
+    }
+
+    /// The value of lane `k`.
+    pub fn lane(self, k: usize) -> Tri {
+        match (self.d1 >> k & 1, self.d0 >> k & 1) {
+            (1, _) => Tri::One,
+            (_, 1) => Tri::Zero,
+            _ => Tri::X,
+        }
+    }
+}
+
+impl Word for P3 {
+    const ZERO: P3 = P3 {
+        d1: 0,
+        d0: u64::MAX,
+    };
+    const ONE: P3 = P3 {
+        d1: u64::MAX,
+        d0: 0,
+    };
+
+    fn not(self) -> P3 {
+        P3 {
+            d1: self.d0,
+            d0: self.d1,
+        }
+    }
+
+    fn and(self, o: P3) -> P3 {
+        P3 {
+            d1: self.d1 & o.d1,
+            d0: self.d0 | o.d0,
+        }
+    }
+
+    fn or(self, o: P3) -> P3 {
+        P3 {
+            d1: self.d1 | o.d1,
+            d0: self.d0 & o.d0,
+        }
+    }
+
+    fn xor(self, o: P3) -> P3 {
+        P3 {
+            d1: (self.d1 & o.d0) | (self.d0 & o.d1),
+            d0: (self.d1 & o.d1) | (self.d0 & o.d0),
+        }
+    }
+
+    /// An X select still resolves to the data value where both legs agree.
+    fn mux(s: P3, a0: P3, a1: P3) -> P3 {
+        let sx = !(s.d0 | s.d1);
+        P3 {
+            d1: (s.d0 & a0.d1) | (s.d1 & a1.d1) | (sx & a0.d1 & a1.d1),
+            d0: (s.d0 & a0.d0) | (s.d1 & a1.d0) | (sx & a0.d0 & a1.d0),
+        }
+    }
+
+    fn force(self, one: u64, zero: u64) -> P3 {
+        P3 {
+            d1: (self.d1 & !zero) | one,
+            d0: (self.d0 & !one) | zero,
+        }
+    }
+}
+
+/// Evaluates one combinational gate over lane words.
+///
+/// # Panics
+///
+/// Panics on a source kind (input, flip-flop, constant), which has no
+/// operands to evaluate.
+#[inline]
+pub fn eval<W: Word>(kind: GateKind, a: W, b: W, c: W) -> W {
+    match kind {
+        GateKind::Not => a.not(),
+        GateKind::Buf => a,
+        GateKind::And2 => a.and(b),
+        GateKind::Or2 => a.or(b),
+        GateKind::Nand2 => a.and(b).not(),
+        GateKind::Nor2 => a.or(b).not(),
+        GateKind::Xor2 => a.xor(b),
+        GateKind::Xnor2 => a.xor(b).not(),
+        GateKind::Mux2 => W::mux(a, b, c),
+        _ => unreachable!("only combinational gates are evaluated"),
+    }
+}
+
+/// A per-lane stuck-at force for [`PackedSim::eval_forced`]: the lanes set
+/// in `one` see `signal` at 1, the lanes set in `zero` see it at 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Force {
+    /// The forced signal.
+    pub signal: SignalId,
+    /// Lanes forced to 1.
+    pub one: u64,
+    /// Lanes forced to 0.
+    pub zero: u64,
+}
+
+impl Force {
+    /// `signal` stuck at `stuck` in the lanes set in `lanes`.
+    pub fn stuck(signal: SignalId, stuck: bool, lanes: u64) -> Force {
+        let (one, zero) = if stuck { (lanes, 0) } else { (0, lanes) };
+        Force { signal, one, zero }
+    }
+}
+
+/// 64-way lane-parallel simulator over the compiled gate kernel: each
+/// signal carries a [`Word`] whose lane *k* is its value under pattern
+/// (or machine) *k*.
 ///
 /// [`PackedSim::new`] compiles the netlist once into a flat, levelized op
 /// array (gate kind plus `u32` operand indices) and index lists for
 /// inputs, flip-flops, outputs and constants, so an evaluation is one pass
-/// over that array with no netlist scans.
+/// over that array with no netlist scans. Every simulator in the workspace
+/// is a driver over this pass: [`CombSim`] (lane 0 of `u64`), [`SeqSim`]
+/// (lane 0 of [`P3`]), and in `socet-atpg` the fault simulators and PODEM.
 ///
-/// Supports single-stuck-at fault injection, which makes it the engine of
-/// the parallel-pattern fault simulator in `socet-atpg`.
+/// Per-lane stuck-at forces ([`PackedSim::eval_forced`]) make it the
+/// fault-injection engine too.
 ///
 /// # Examples
 ///
@@ -120,6 +307,9 @@ pub struct PackedSim<'a> {
     nl: &'a GateNetlist,
     /// Combinational gates in topological order.
     ops: Vec<Op>,
+    /// Per signal: the number of ops up to and including the one defining
+    /// it, 0 for sources — where a force on it takes effect.
+    split: Vec<u32>,
     /// Primary-input signals, in input order.
     inputs: Vec<u32>,
     /// Flip-flop Q signals, in index order.
@@ -144,10 +334,15 @@ impl<'a> PackedSim<'a> {
                 ops,
             }
         };
+        let mut split = vec![0; nl.gates().len()];
+        for (k, s) in nl.topo_order().iter().enumerate() {
+            split[s.index()] = k as u32 + 1;
+        }
         let ffs = nl.flip_flops();
         PackedSim {
             nl,
             ops: nl.topo_order().iter().map(op).collect(),
+            split,
             inputs: nl.inputs().iter().map(|(_, s)| s.0).collect(),
             ff_q: ffs.iter().map(|q| q.0).collect(),
             ff_d: ffs.iter().map(|q| nl.gate(*q).ops[0].0).collect(),
@@ -186,10 +381,31 @@ impl<'a> PackedSim<'a> {
         fault: Option<(SignalId, bool)>,
         v: &mut Vec<u64>,
     ) {
+        let force = fault.map(|(s, stuck)| Force::stuck(s, stuck, u64::MAX));
+        self.eval_forced(pi, ff, force.as_slice(), v);
+    }
+
+    /// Sorts `forces` into the order [`PackedSim::eval_forced`] applies
+    /// them: sources first, then combinational sites in topological order.
+    pub fn sort_forces(&self, forces: &mut [Force]) {
+        forces.sort_by_key(|f| self.split[f.signal.index()]);
+    }
+
+    /// Evaluates every signal in every lane of `W` with per-lane stuck-at
+    /// `forces` applied: a force on a source (input, flip-flop,
+    /// constant) before the pass, one on a combinational gate right after
+    /// the gate is evaluated — either way before its fanout reads it.
+    /// Writes into a caller-owned buffer, indexed by [`SignalId::index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on input or state length mismatch, or if `forces` is not in
+    /// the order [`PackedSim::sort_forces`] produces.
+    pub fn eval_forced<W: Word>(&self, pi: &[W], ff: &[W], forces: &[Force], v: &mut Vec<W>) {
         assert_eq!(pi.len(), self.inputs.len(), "input length");
         assert_eq!(ff.len(), self.ff_q.len(), "state length");
         v.clear();
-        v.resize(self.nl.gates().len(), 0);
+        v.resize(self.nl.gates().len(), W::ZERO);
         for (&s, &x) in self.inputs.iter().zip(pi) {
             v[s as usize] = x;
         }
@@ -197,54 +413,39 @@ impl<'a> PackedSim<'a> {
             v[s as usize] = x;
         }
         for &s in &self.ones {
-            v[s as usize] = u64::MAX;
+            v[s as usize] = W::ONE;
         }
-        let Some((s, stuck)) = fault else {
-            return run_ops(&self.ops, v);
-        };
-        // A fault on a source takes effect before the pass; one on a
-        // combinational gate right after the gate is evaluated.
-        let word = if stuck { u64::MAX } else { 0 };
-        let split = self
-            .ops
-            .iter()
-            .position(|op| op.dst as usize == s.index())
-            .map_or(0, |k| k + 1);
-        run_ops(&self.ops[..split], v);
-        v[s.index()] = word;
-        run_ops(&self.ops[split..], v);
+        let mut done = 0;
+        for f in forces {
+            let at = self.split[f.signal.index()] as usize;
+            assert!(at >= done, "forces out of topological order");
+            run_ops(&self.ops[done..at], v);
+            done = at;
+            let s = f.signal.index();
+            v[s] = v[s].force(f.one, f.zero);
+        }
+        run_ops(&self.ops[done..], v);
     }
 
     /// Packed value of the `i`-th primary output in a signal vector
-    /// produced by [`PackedSim::eval_into`].
-    pub fn output(&self, values: &[u64], i: usize) -> u64 {
+    /// produced by [`PackedSim::eval_forced`].
+    pub fn output<W: Word>(&self, values: &[W], i: usize) -> W {
         values[self.outputs[i] as usize]
     }
 
     /// Writes the packed next-state (DFF D) values of a full signal vector
     /// into `next`, reusing its allocation.
-    pub fn next_state_into(&self, values: &[u64], next: &mut Vec<u64>) {
+    pub fn next_state_into<W: Word>(&self, values: &[W], next: &mut Vec<W>) {
         next.clear();
         next.extend(self.ff_d.iter().map(|d| values[*d as usize]));
     }
 }
 
 /// Evaluates `ops` in order over the signal vector `v`.
-fn run_ops(ops: &[Op], v: &mut [u64]) {
+fn run_ops<W: Word>(ops: &[Op], v: &mut [W]) {
     for op in ops {
         let [a, b, c] = op.ops.map(|s| v[s as usize]);
-        v[op.dst as usize] = match op.kind {
-            GateKind::Not => !a,
-            GateKind::Buf => a,
-            GateKind::And2 => a & b,
-            GateKind::Or2 => a | b,
-            GateKind::Nand2 => !(a & b),
-            GateKind::Nor2 => !(a | b),
-            GateKind::Xor2 => a ^ b,
-            GateKind::Xnor2 => !(a ^ b),
-            GateKind::Mux2 => (!a & b) | (a & c),
-            _ => unreachable!("topo order holds only combinational gates"),
-        };
+        v[op.dst as usize] = eval(op.kind, a, b, c);
     }
 }
 
@@ -278,37 +479,6 @@ impl Tri {
             Tri::X => None,
         }
     }
-
-    fn not(self) -> Tri {
-        match self {
-            Tri::Zero => Tri::One,
-            Tri::One => Tri::Zero,
-            Tri::X => Tri::X,
-        }
-    }
-
-    fn and(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::Zero, _) | (_, Tri::Zero) => Tri::Zero,
-            (Tri::One, Tri::One) => Tri::One,
-            _ => Tri::X,
-        }
-    }
-
-    fn or(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::One, _) | (_, Tri::One) => Tri::One,
-            (Tri::Zero, Tri::Zero) => Tri::Zero,
-            _ => Tri::X,
-        }
-    }
-
-    fn xor(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::X, _) | (_, Tri::X) => Tri::X,
-            (a, b) => Tri::from_bool(a != b),
-        }
-    }
 }
 
 impl fmt::Display for Tri {
@@ -321,7 +491,8 @@ impl fmt::Display for Tri {
     }
 }
 
-/// Three-valued sequential simulator with X-initialized flip-flops.
+/// Three-valued sequential simulator with X-initialized flip-flops: lane 0
+/// of [`PackedSim`]'s kernel over [`P3`] words.
 ///
 /// Used for the paper's "Orig." experiments: fault-simulating the un-DFT'd
 /// chip against random sequential vectors, where state starts unknown.
@@ -344,37 +515,37 @@ impl fmt::Display for Tri {
 /// ```
 #[derive(Debug)]
 pub struct SeqSim<'a> {
-    nl: &'a GateNetlist,
-    state: Vec<Tri>,
+    sim: PackedSim<'a>,
+    state: Vec<P3>,
+    inputs: Vec<P3>,
+    values: Vec<P3>,
 }
 
 impl<'a> SeqSim<'a> {
     /// Creates a simulator with all flip-flops at X.
     pub fn new(nl: &'a GateNetlist) -> Self {
-        SeqSim {
-            state: vec![Tri::X; nl.flip_flop_count()],
-            nl,
-        }
+        Self::with_state(nl, Tri::X)
     }
 
     /// Creates a simulator with all flip-flops reset to 0 — the
     /// "after chip reset" premise of the sequential testability
     /// experiments.
     pub fn new_reset(nl: &'a GateNetlist) -> Self {
+        Self::with_state(nl, Tri::Zero)
+    }
+
+    fn with_state(nl: &'a GateNetlist, init: Tri) -> Self {
         SeqSim {
-            state: vec![Tri::Zero; nl.flip_flop_count()],
-            nl,
+            state: vec![P3::splat(init); nl.flip_flop_count()],
+            sim: PackedSim::new(nl),
+            inputs: Vec::new(),
+            values: Vec::new(),
         }
     }
 
     /// Resets all flip-flops to X.
     pub fn reset(&mut self) {
-        self.state.fill(Tri::X);
-    }
-
-    /// The current flip-flop state.
-    pub fn state(&self) -> &[Tri] {
-        &self.state
+        self.state.fill(P3::X);
     }
 
     /// Applies one input vector, returns the primary outputs *before* the
@@ -385,74 +556,20 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics on input length mismatch.
     pub fn step(&mut self, inputs: &[Tri], fault: Option<(SignalId, bool)>) -> Vec<Tri> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input length");
-        let mut v = vec![Tri::X; self.nl.gates().len()];
-        for ((_, s), val) in self.nl.inputs().iter().zip(inputs) {
-            v[s.index()] = *val;
-        }
-        for (q, val) in self.nl.flip_flops().iter().zip(&self.state) {
-            v[q.index()] = *val;
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => v[i] = Tri::Zero,
-                GateKind::Const1 => v[i] = Tri::One,
-                _ => {}
-            }
-        }
-        if let Some((s, stuck)) = fault {
-            let kind = self.nl.gate(s).kind;
-            if matches!(
-                kind,
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-            ) {
-                v[s.index()] = Tri::from_bool(stuck);
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            let val = match g.kind {
-                GateKind::Not => v[ops[0].index()].not(),
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()].and(v[ops[1].index()]),
-                GateKind::Or2 => v[ops[0].index()].or(v[ops[1].index()]),
-                GateKind::Nand2 => v[ops[0].index()].and(v[ops[1].index()]).not(),
-                GateKind::Nor2 => v[ops[0].index()].or(v[ops[1].index()]).not(),
-                GateKind::Xor2 => v[ops[0].index()].xor(v[ops[1].index()]),
-                GateKind::Xnor2 => v[ops[0].index()].xor(v[ops[1].index()]).not(),
-                GateKind::Mux2 => match v[ops[0].index()] {
-                    Tri::Zero => v[ops[1].index()],
-                    Tri::One => v[ops[2].index()],
-                    Tri::X => {
-                        let a = v[ops[1].index()];
-                        let b = v[ops[2].index()];
-                        if a == b {
-                            a
-                        } else {
-                            Tri::X
-                        }
-                    }
-                },
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-            v[s.index()] = val;
-            if let Some((fs, stuck)) = fault {
-                if fs == *s {
-                    v[s.index()] = Tri::from_bool(stuck);
-                }
-            }
-        }
-        let outs = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| v[s.index()])
-            .collect();
-        for (i, q) in self.nl.flip_flops().iter().enumerate() {
-            self.state[i] = v[self.nl.gate(*q).operands()[0].index()];
-        }
-        outs
+        self.inputs.clear();
+        self.inputs.extend(inputs.iter().map(|&t| P3::splat(t)));
+        let force = fault.map(|(s, stuck)| Force::stuck(s, stuck, u64::MAX));
+        let sim = &self.sim;
+        sim.eval_forced(
+            &self.inputs,
+            &self.state,
+            force.as_slice(),
+            &mut self.values,
+        );
+        sim.next_state_into(&self.values, &mut self.state);
+        (0..sim.outputs.len())
+            .map(|i| sim.output(&self.values, i).lane(0))
+            .collect()
     }
 }
 
@@ -541,12 +658,15 @@ mod tests {
 
     #[test]
     fn tri_algebra() {
-        assert_eq!(Tri::X.not(), Tri::X);
-        assert_eq!(Tri::Zero.and(Tri::X), Tri::Zero);
-        assert_eq!(Tri::One.or(Tri::X), Tri::One);
-        assert_eq!(Tri::X.and(Tri::One), Tri::X);
-        assert_eq!(Tri::One.xor(Tri::One), Tri::Zero);
-        assert_eq!(Tri::One.xor(Tri::X), Tri::X);
+        let g = |kind, a: Tri, b: Tri| eval(kind, P3::splat(a), P3::splat(b), P3::X).lane(0);
+        assert_eq!(g(GateKind::Not, Tri::X, Tri::X), Tri::X);
+        assert_eq!(g(GateKind::And2, Tri::Zero, Tri::X), Tri::Zero);
+        assert_eq!(g(GateKind::Or2, Tri::One, Tri::X), Tri::One);
+        assert_eq!(g(GateKind::And2, Tri::X, Tri::One), Tri::X);
+        assert_eq!(g(GateKind::Xor2, Tri::One, Tri::One), Tri::Zero);
+        assert_eq!(g(GateKind::Xor2, Tri::One, Tri::X), Tri::X);
+        assert_eq!(P3::ONE.force(0b10, 0b01).lane(0), Tri::Zero);
+        assert_eq!(P3::X.force(0b10, 0b01).lane(1), Tri::One);
         assert_eq!(Tri::from_bool(true).to_bool(), Some(true));
         assert_eq!(Tri::X.to_bool(), None);
         assert_eq!(Tri::X.to_string(), "X");

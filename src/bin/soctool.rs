@@ -21,7 +21,7 @@
 //! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
 //! (`0` = auto).
 //!
-//! `report`, `sweep`, `prepare` and `verify` accept `--trace PATH`
+//! `report`, `sweep`, `atpg`, `prepare` and `verify` accept `--trace PATH`
 //! (machine-readable JSON trace of the run's spans and counters) and
 //! `--profile PATH` (collapsed-stack profile for flamegraph tooling) —
 //! both exporters of the unified observability layer ([`socet::obs`]).
@@ -38,8 +38,9 @@
 //! Systems: `system1` (the barcode SOC), `system2`, or `synthetic:<n>`
 //! for an n-core generated SOC.
 //!
-//! Unknown flags or surplus positional arguments are rejected with exit
-//! code 2 and the usage text.
+//! Unknown flags, flags the command does not use, unparsable numeric
+//! values (`--seed`, `--cases`, `--workers`) and surplus positional
+//! arguments are rejected with exit code 2 and the usage text.
 
 use socet::bist::plan_memory_bist;
 use socet::cells::{CellLibrary, DftCosts};
@@ -61,7 +62,7 @@ fn usage() -> ExitCode {
            sweep   <system> [--stats] [--trace PATH] [--profile PATH]\n\
            dot-rcg <system> <core-name>\n\
            dot-ccg <system> [choice]\n\
-           atpg    <system> [--stats]\n\
+           atpg    <system> [--stats] [--trace PATH] [--profile PATH]\n\
            prepare <system> [--stats] [--cache-dir PATH] [--workers N]\n\
                    [--trace PATH] [--profile PATH]\n\
            bist    <system>\n\
@@ -150,6 +151,28 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
+/// Removes `--flag VALUE` from `args` and parses the value; a value that
+/// does not parse is reported to stderr and yields `Err`.
+fn take_parsed<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, ()> {
+    let Some(value) = take_flag_value(args, flag) else {
+        return Ok(None);
+    };
+    value.parse().map(Some).map_err(|_| {
+        eprintln!("invalid value `{value}` for {flag}");
+    })
+}
+
+/// Whether `cmd` uses the value flag `flag`.
+fn takes_flag(cmd: &str, flag: &str) -> bool {
+    match flag {
+        "--trace" | "--profile" => {
+            matches!(cmd, "report" | "sweep" | "atpg" | "prepare" | "verify")
+        }
+        "--cache-dir" | "--workers" => cmd == "prepare",
+        _ => cmd == "verify", // --seed, --cases
+    }
+}
+
 /// Maximum positional argument count (command included) per command; the
 /// parser rejects anything beyond it so typos never silently no-op.
 fn max_positionals(cmd: &str) -> Option<usize> {
@@ -169,11 +192,16 @@ fn main() -> ExitCode {
         args.len() != before
     };
     let cache_dir = take_flag_value(&mut args, "--cache-dir").map(PathBuf::from);
-    let workers = take_flag_value(&mut args, "--workers").and_then(|w| w.parse::<usize>().ok());
     let trace = take_flag_value(&mut args, "--trace").map(PathBuf::from);
     let profile = take_flag_value(&mut args, "--profile").map(PathBuf::from);
-    let seed = take_flag_value(&mut args, "--seed").and_then(|s| s.parse::<u64>().ok());
-    let cases = take_flag_value(&mut args, "--cases").and_then(|s| s.parse::<u64>().ok());
+    let (workers, seed, cases) = match (
+        take_parsed::<usize>(&mut args, "--workers"),
+        take_parsed::<u64>(&mut args, "--seed"),
+        take_parsed::<u64>(&mut args, "--cases"),
+    ) {
+        (Ok(workers), Ok(seed), Ok(cases)) => (workers, seed, cases),
+        _ => return usage(),
+    };
     // Everything left must be a positional argument: an unknown flag (or a
     // flag whose value was consumed as a positional) must not be silently
     // accepted.
@@ -194,6 +222,18 @@ fn main() -> ExitCode {
             return usage();
         }
         Some(_) => {}
+    }
+    let given = [
+        ("--cache-dir", cache_dir.is_some()),
+        ("--workers", workers.is_some()),
+        ("--trace", trace.is_some()),
+        ("--profile", profile.is_some()),
+        ("--seed", seed.is_some()),
+        ("--cases", cases.is_some()),
+    ];
+    if let Some((flag, _)) = given.iter().find(|(f, set)| *set && !takes_flag(cmd, f)) {
+        eprintln!("`{cmd}` does not take {flag}");
+        return usage();
     }
     if cmd == "systems" {
         println!("system1      the paper's barcode SOC (CPU, PREPROCESSOR, DISPLAY, RAM, ROM)");
@@ -317,14 +357,16 @@ fn main() -> ExitCode {
             print!("{}", ccg.to_dot(&soc));
         }
         "atpg" => {
-            let prepared =
-                match socet::flow::prepare_soc(&soc, &costs, &socet::atpg::TpgConfig::default()) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("cannot prepare {}: {e}", soc.name());
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let shared = SharedRecorder::new();
+            let opts = socet::flow::PrepareOptions::new().recorder(shared.clone());
+            let tpg = socet::atpg::TpgConfig::default();
+            let prepared = match socet::flow::prepare_soc_with(&soc, &costs, &tpg, &opts) {
+                Ok((p, _)) => p,
+                Err(e) => {
+                    eprintln!("cannot prepare {}: {e}", soc.name());
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "{:<14} {:>7} {:>8} {:>8} {:>8}",
                 "core", "faults", "FC%", "TEff%", "vectors"
@@ -346,6 +388,9 @@ fn main() -> ExitCode {
             println!("\naggregate: {agg}");
             if stats {
                 println!("\n{}", prepared.atpg_stats());
+            }
+            if !export_trace(&shared.take(), trace.as_ref(), profile.as_ref()) {
+                return ExitCode::FAILURE;
             }
         }
         "prepare" => {

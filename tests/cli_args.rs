@@ -67,3 +67,58 @@ fn valid_invocations_still_work() {
     assert!(stdout.contains("system1"), "{stdout}");
     assert!(stdout.contains("system2"), "{stdout}");
 }
+
+/// A fresh per-test scratch directory under cargo's target tmpdir.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn atpg_exports_trace_and_profile() {
+    let dir = scratch_dir("atpg-trace");
+    let (trace, profile) = (dir.join("atpg.json"), dir.join("atpg.folded"));
+    let out = soctool(&[
+        "atpg",
+        "system1",
+        "--trace",
+        trace.to_str().expect("utf-8 path"),
+        "--profile",
+        profile.to_str().expect("utf-8 path"),
+    ]);
+    assert!(out.status.success(), "atpg --trace failed: {out:?}");
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(json.trim_start().starts_with('{'), "{json}");
+    let folded = std::fs::read_to_string(&profile).expect("profile written");
+    assert!(folded.contains("atpg_podem"), "{folded}");
+}
+
+#[test]
+fn flags_a_command_does_not_use_are_rejected() {
+    let dir = scratch_dir("unused-flags");
+    let path = dir.join("never.json");
+    let path = path.to_str().expect("utf-8 path");
+    // Before, these exited 0 and wrote nothing.
+    assert_usage_rejection(&["bist", "system1", "--trace", path]);
+    assert_usage_rejection(&["bist", "system1", "--profile", path]);
+    assert!(!dir.join("never.json").exists(), "bist wrote a trace");
+    assert_usage_rejection(&["systems", "--trace", path]);
+    assert_usage_rejection(&["dot-rcg", "system1", "CPU", "--profile", path]);
+    assert_usage_rejection(&["atpg", "system1", "--workers", "2"]);
+    assert_usage_rejection(&["report", "system1", "--cache-dir", path]);
+    assert_usage_rejection(&["sweep", "system1", "--seed", "3"]);
+    assert_usage_rejection(&["prepare", "system1", "--cases", "3"]);
+    assert_usage_rejection(&["dot-ccg", "system1", "--seed", "3"]);
+}
+
+#[test]
+fn malformed_numeric_values_are_rejected() {
+    // Before, an unparsable value silently fell back to the default.
+    assert_usage_rejection(&["verify", "synthetic", "--seed", "notanumber"]);
+    assert_usage_rejection(&["verify", "synthetic", "--cases", "1.5"]);
+    assert_usage_rejection(&["verify", "system1", "--seed", "-1"]);
+    assert_usage_rejection(&["prepare", "system2", "--workers", "-3"]);
+    assert_usage_rejection(&["prepare", "system2", "--workers", "four"]);
+}

@@ -19,7 +19,9 @@ fn light_tpg() -> TpgConfig {
     }
 }
 
-fn check_system(soc: &Soc) {
+/// `orig` is the exact `(detected, total)` of the "Orig." sequential fault
+/// simulation below.
+fn check_system(soc: &Soc, orig: (usize, usize)) {
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
     let prepared = prepare_soc(soc, &costs, &light_tpg()).expect("elaboration succeeds");
@@ -73,7 +75,14 @@ fn check_system(soc: &Soc) {
 
     // The un-DFT'd chip has very poor coverage (Table 3 "Orig.").
     let flat = flatten_soc(soc).expect("flattening succeeds");
+    let (detected, total) = orig;
     let orig = orig_coverage(&flat, 48, 0xdac98);
+    assert_eq!(
+        (orig.detected, orig.total),
+        (detected, total),
+        "{}: Orig. fault-simulation counts",
+        soc.name()
+    );
     assert!(
         orig.fault_coverage() < agg.fault_coverage(),
         "{}: orig {} !< scan-based {}",
@@ -85,12 +94,12 @@ fn check_system(soc: &Soc) {
 
 #[test]
 fn system1_pipeline_holds_the_papers_claims() {
-    check_system(&barcode_system());
+    check_system(&barcode_system(), (114, 4314));
 }
 
 #[test]
 fn system2_pipeline_holds_the_papers_claims() {
-    check_system(&system2());
+    check_system(&system2(), (415, 3192));
 }
 
 #[test]

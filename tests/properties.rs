@@ -3,11 +3,14 @@
 //! shape.
 
 use proptest::prelude::*;
-use socet::atpg::{fault_list, generate_tests, FaultSim, TpgConfig};
+use socet::atpg::{
+    fault_list, generate_tests, Fault, FaultSim, Podem, PodemOutcome, SeqFaultSim, TpgConfig,
+};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{schedule, CoreTestData};
 use socet::gate::{
-    elaborate, CombSim, GateKind, GateNetlist, GateNetlistBuilder, PackedSim, SignalId,
+    elaborate, CombSim, Force, GateKind, GateNetlist, GateNetlistBuilder, PackedSim, SignalId, Tri,
+    P3,
 };
 use socet::hscan::insert_hscan;
 use socet::rtl::{Core, CoreBuilder, Direction, RegisterId, RtlNode, SocBuilder};
@@ -62,12 +65,17 @@ impl XorShift {
     fn bit(&mut self) -> bool {
         self.next() & 1 != 0
     }
+
+    fn tri(&mut self) -> Tri {
+        [Tri::Zero, Tri::One, Tri::X][(self.next() % 3) as usize]
+    }
 }
 
 /// A random gate netlist over every gate kind: inputs, constants and
 /// flip-flops (some fed back from later logic), then combinational gates
-/// reading earlier signals, a few of them outputs.
-fn random_netlist(seed: u64) -> GateNetlist {
+/// reading earlier signals, a few of them outputs. At least `min_gates`
+/// combinational gates and `min_ffs` flip-flops.
+fn random_netlist(seed: u64, min_gates: u64, min_ffs: u64) -> GateNetlist {
     const KINDS: [GateKind; 9] = [
         GateKind::Not,
         GateKind::Buf,
@@ -86,9 +94,11 @@ fn random_netlist(seed: u64) -> GateNetlist {
         .collect();
     sigs.push(b.const0());
     sigs.push(b.const1());
-    let ffs: Vec<SignalId> = (0..rng.next() % 4).map(|_| b.dff_deferred()).collect();
+    let ffs: Vec<SignalId> = (0..min_ffs + rng.next() % 4)
+        .map(|_| b.dff_deferred())
+        .collect();
     sigs.extend(&ffs);
-    for _ in 0..5 + rng.next() % 40 {
+    for _ in 0..min_gates + rng.next() % 40 {
         let mut pick = || sigs[(rng.next() % sigs.len() as u64) as usize];
         let (x, y, z) = (pick(), pick(), pick());
         let kind = KINDS[(rng.next() % KINDS.len() as u64) as usize];
@@ -110,51 +120,59 @@ fn random_netlist(seed: u64) -> GateNetlist {
     b.build().expect("acyclic by construction")
 }
 
-/// Scalar reference interpreter: each signal evaluated on demand from its
-/// gate's definition (no topological order), with `fault` forcing its
-/// signal wherever it is read.
+/// Scalar reference interpreter over 0/1/X: each signal evaluated on
+/// demand from its gate's definition (no topological order), with `fault`
+/// forcing its signal wherever it is read. A mux with an X select resolves
+/// to the data value when both legs agree.
 fn reference(
     nl: &GateNetlist,
-    pi: &[bool],
-    ff: &[bool],
+    pi: &[Tri],
+    ff: &[Tri],
     fault: Option<(SignalId, bool)>,
-) -> Vec<bool> {
+) -> Vec<Tri> {
     fn value(
         nl: &GateNetlist,
         s: SignalId,
-        memo: &mut [Option<bool>],
+        memo: &mut [Option<Tri>],
         fault: Option<(SignalId, bool)>,
-    ) -> bool {
+    ) -> Tri {
         match (fault, memo[s.index()]) {
-            (Some((f, stuck)), _) if f == s => return stuck,
+            (Some((f, stuck)), _) if f == s => return Tri::from_bool(stuck),
             (_, Some(v)) => return v,
             _ => {}
         }
         let gate = nl.gate(s);
-        let x: Vec<bool> = gate
+        let x: Vec<Option<bool>> = gate
             .operands()
             .iter()
-            .map(|o| value(nl, *o, memo, fault))
+            .map(|o| value(nl, *o, memo, fault).to_bool())
             .collect();
-        let v = match gate.kind {
-            GateKind::Const1 => true,
-            GateKind::Const0 | GateKind::Input | GateKind::Dff => false,
-            GateKind::Not => !x[0],
-            GateKind::Buf => x[0],
-            GateKind::And2 => x[0] && x[1],
-            GateKind::Or2 => x[0] || x[1],
-            GateKind::Nand2 => !(x[0] && x[1]),
-            GateKind::Nor2 => !(x[0] || x[1]),
-            GateKind::Xor2 => x[0] != x[1],
-            GateKind::Xnor2 => x[0] == x[1],
-            GateKind::Mux2 => {
-                if x[0] {
-                    x[2]
-                } else {
-                    x[1]
-                }
-            }
+        let not = |a: Option<bool>| a.map(|a| !a);
+        let and = |a: Option<bool>, b: Option<bool>| match (a, b) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
         };
+        let or = |a, b| not(and(not(a), not(b)));
+        let xor = |a: Option<bool>, b: Option<bool>| Some(a? != b?);
+        let v = match gate.kind {
+            GateKind::Const1 => Some(true),
+            GateKind::Const0 => Some(false),
+            GateKind::Input | GateKind::Dff => None,
+            GateKind::Not => not(x[0]),
+            GateKind::Buf => x[0],
+            GateKind::And2 => and(x[0], x[1]),
+            GateKind::Or2 => or(x[0], x[1]),
+            GateKind::Nand2 => not(and(x[0], x[1])),
+            GateKind::Nor2 => not(or(x[0], x[1])),
+            GateKind::Xor2 => xor(x[0], x[1]),
+            GateKind::Xnor2 => not(xor(x[0], x[1])),
+            GateKind::Mux2 => match x[0] {
+                Some(sel) => x[1 + usize::from(sel)],
+                None => x[1].filter(|_| x[1] == x[2]),
+            },
+        };
+        let v = v.map_or(Tri::X, Tri::from_bool);
         memo[s.index()] = Some(v);
         v
     }
@@ -167,6 +185,62 @@ fn reference(
     }
     (0..nl.gates().len())
         .map(|i| value(nl, SignalId::from_index(i), &mut memo, fault))
+        .collect()
+}
+
+/// [`reference`] over definite inputs.
+fn reference_bool(
+    nl: &GateNetlist,
+    pi: &[bool],
+    ff: &[bool],
+    fault: Option<(SignalId, bool)>,
+) -> Vec<Tri> {
+    let tri = |v: &[bool]| v.iter().map(|&b| Tri::from_bool(b)).collect::<Vec<_>>();
+    reference(nl, &tri(pi), &tri(ff), fault)
+}
+
+/// Whether `fault` shows a definite, wrong value at one of `observe`.
+fn effect_at(good: &[Tri], bad: &[Tri], observe: &[SignalId]) -> bool {
+    observe.iter().any(|s| {
+        let (g, b) = (good[s.index()], bad[s.index()]);
+        g != Tri::X && b != Tri::X && g != b
+    })
+}
+
+/// Fault-serial scalar sequential fault simulation: each fault's machine
+/// and the good machine stepped cycle by cycle through [`reference`] from
+/// every flip-flop at `init`.
+fn reference_seq_detect(
+    nl: &GateNetlist,
+    faults: &[Fault],
+    vectors: &[Vec<Tri>],
+    init: Tri,
+) -> Vec<bool> {
+    let ffs = nl.flip_flops();
+    let outputs: Vec<SignalId> = nl.outputs().iter().map(|(_, s)| *s).collect();
+    let run = |fault: Option<(SignalId, bool)>| {
+        let mut state = vec![init; ffs.len()];
+        vectors
+            .iter()
+            .map(|v| {
+                let values = reference(nl, v, &state, fault);
+                state = ffs
+                    .iter()
+                    .map(|q| values[nl.gate(*q).operands()[0].index()])
+                    .collect();
+                values
+            })
+            .collect::<Vec<_>>()
+    };
+    let good = run(None);
+    faults
+        .iter()
+        .map(|f| {
+            let bad = run(Some((f.signal, f.stuck_at_one)));
+            good.iter()
+                .zip(&bad)
+                .any(|(g, b)| effect_at(g, b, &outputs))
+        })
         .collect()
 }
 
@@ -266,7 +340,7 @@ proptest! {
     ) {
         let core = random_core(n, width, &edges);
         let elab = elaborate(&core).expect("elaboration succeeds");
-        for nl in [&elab.netlist, &random_netlist(netlist_seed)] {
+        for nl in [&elab.netlist, &random_netlist(netlist_seed, 5, 0)] {
             // Each vector is the primary inputs followed by the FF state.
             let n_pi = nl.inputs().len();
             let width = n_pi + nl.flip_flop_count();
@@ -283,14 +357,145 @@ proptest! {
                 let packed = PackedSim::new(nl).eval(pi, ff, fault);
                 for (k, v) in vectors.iter().enumerate() {
                     let (vpi, vff) = v.split_at(n_pi);
-                    let want = reference(nl, vpi, vff, fault);
+                    let want = reference_bool(nl, vpi, vff, fault);
                     for (s, &w) in want.iter().enumerate() {
-                        prop_assert_eq!(packed[s] >> k & 1 != 0, w, "lane {} signal {} fault {:?}", k, s, fault);
+                        prop_assert_eq!(Tri::from_bool(packed[s] >> k & 1 != 0), w, "lane {} signal {} fault {:?}", k, s, fault);
                     }
                 }
             }
             let (vpi, vff) = vectors[0].split_at(n_pi);
-            prop_assert_eq!(CombSim::new(nl).eval_signals(vpi, vff), reference(nl, vpi, vff, None));
+            let comb: Vec<Tri> = CombSim::new(nl).eval_signals(vpi, vff).into_iter().map(Tri::from_bool).collect();
+            prop_assert_eq!(comb, reference_bool(nl, vpi, vff, None));
+        }
+    }
+
+    /// The three-valued kernel with per-lane forces agrees with the scalar
+    /// 0/1/X reference: 64 random 0/1/X vectors in one `P3` pass, lane *k*
+    /// carrying its own stuck-at force — on inputs, flip-flops, constants
+    /// and combinational gates in turn, with lanes 0 and 1 forcing both
+    /// polarities on one signal — equal 64 scalar runs.
+    #[test]
+    fn forced_three_valued_kernel_matches_scalar_reference(
+        n in 2usize..6,
+        width in 1u16..8,
+        edges in prop::collection::vec((0usize..6, 0usize..6), 0..4),
+        pattern_seed in 0u64..u64::MAX,
+        netlist_seed in 0u64..u64::MAX,
+    ) {
+        let core = random_core(n, width, &edges);
+        let elab = elaborate(&core).expect("elaboration succeeds");
+        for nl in [&elab.netlist, &random_netlist(netlist_seed, 5, 1)] {
+            let n_pi = nl.inputs().len();
+            let width = n_pi + nl.flip_flop_count();
+            let mut rng = XorShift(pattern_seed | 1);
+            let vectors: Vec<Vec<Tri>> = (0..64)
+                .map(|_| (0..width).map(|_| rng.tri()).collect())
+                .collect();
+            let words: Vec<P3> = (0..width)
+                .map(|i| {
+                    (0..64).fold(P3::X, |w, k| match vectors[k][i] {
+                        Tri::One => P3 { d1: w.d1 | 1 << k, ..w },
+                        Tri::Zero => P3 { d0: w.d0 | 1 << k, ..w },
+                        Tri::X => w,
+                    })
+                })
+                .collect();
+            // Candidate sites by class: inputs, flip-flops, constants,
+            // combinational gates.
+            let mut classes: [Vec<SignalId>; 4] = Default::default();
+            for (i, g) in nl.gates().iter().enumerate() {
+                let class = match g.kind {
+                    GateKind::Input => 0,
+                    GateKind::Dff => 1,
+                    GateKind::Const0 | GateKind::Const1 => 2,
+                    _ => 3,
+                };
+                classes[class].push(SignalId::from_index(i));
+            }
+            let classes: Vec<&Vec<SignalId>> = classes.iter().filter(|c| !c.is_empty()).collect();
+            let faults: Vec<(SignalId, bool)> = (0..64)
+                .map(|k| {
+                    let class = classes[k % classes.len()];
+                    let site = class[(rng.next() % class.len() as u64) as usize];
+                    (site, rng.bit())
+                })
+                .collect();
+            let mut faults = faults;
+            faults[1] = (faults[0].0, !faults[0].1);
+            let mut forces: Vec<Force> = faults
+                .iter()
+                .enumerate()
+                .map(|(k, &(s, stuck))| Force::stuck(s, stuck, 1 << k))
+                .collect();
+            let sim = PackedSim::new(nl);
+            sim.sort_forces(&mut forces);
+            let (pi, ff) = words.split_at(n_pi);
+            let mut packed = Vec::new();
+            sim.eval_forced(pi, ff, &forces, &mut packed);
+            for (k, v) in vectors.iter().enumerate() {
+                let (vpi, vff) = v.split_at(n_pi);
+                let want = reference(nl, vpi, vff, Some(faults[k]));
+                for (s, &w) in want.iter().enumerate() {
+                    prop_assert_eq!(packed[s].lane(k), w, "lane {} signal {} force {:?}", k, s, faults[k]);
+                }
+            }
+        }
+    }
+
+    /// The fault-parallel sequential fault simulator equals a fault-serial
+    /// scalar reference stepped cycle by cycle, from X and from reset, for
+    /// one worker and three, on random sequential netlists with more than
+    /// one 64-fault block (constant faults included).
+    #[test]
+    fn seq_fault_sim_matches_fault_serial_reference(
+        netlist_seed in 0u64..u64::MAX,
+        vector_seed in 0u64..u64::MAX,
+        cycles in 1usize..10,
+    ) {
+        let nl = random_netlist(netlist_seed, 48, 1);
+        let mut faults = fault_list(&nl);
+        for (i, g) in nl.gates().iter().enumerate() {
+            let s = SignalId::from_index(i);
+            match g.kind {
+                GateKind::Const0 => faults.push(Fault::sa1(s)),
+                GateKind::Const1 => faults.push(Fault::sa0(s)),
+                _ => {}
+            }
+        }
+        prop_assert!(faults.len() > 64, "only {} faults", faults.len());
+        let mut rng = XorShift(vector_seed | 1);
+        let vectors: Vec<Vec<Tri>> = (0..cycles)
+            .map(|_| (0..nl.inputs().len()).map(|_| rng.tri()).collect())
+            .collect();
+        for init in [Tri::X, Tri::Zero] {
+            let want = reference_seq_detect(&nl, &faults, &vectors, init);
+            for workers in [1, 3] {
+                let got = SeqFaultSim::new(&nl)
+                    .with_workers(workers)
+                    .run_from(&faults, &vectors, init);
+                prop_assert_eq!(&got, &want, "init {} workers {}", init, workers);
+            }
+        }
+    }
+
+    /// Every PODEM test detects its fault under the scalar three-valued
+    /// reference with the unassigned inputs left X: good and faulty values
+    /// are definite and differ at some combinational output.
+    #[test]
+    fn podem_tests_detect_under_three_valued_reference(
+        netlist_seed in 0u64..u64::MAX,
+    ) {
+        let nl = random_netlist(netlist_seed, 48, 1);
+        let observe = nl.comb_outputs();
+        let n_pi = nl.inputs().len();
+        let mut podem = Podem::new(&nl, 64);
+        for fault in fault_list(&nl) {
+            if let PodemOutcome::Test(v) = podem.run(fault) {
+                let (pi, ff) = v.split_at(n_pi);
+                let good = reference(&nl, pi, ff, None);
+                let bad = reference(&nl, pi, ff, Some((fault.signal, fault.stuck_at_one)));
+                prop_assert!(effect_at(&good, &bad, &observe), "{} not detected by {:?}", fault, v);
+            }
         }
     }
 
