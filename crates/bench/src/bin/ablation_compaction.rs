@@ -6,41 +6,43 @@
 //! removed vector shortens the core's HSCAN sequence and therefore the
 //! chip's test application time — at zero hardware cost.
 
-use socet_atpg::{compact_tests, generate_tests, TpgConfig};
-use socet_bench::PreparedSystem;
+use socet::flow::{prepare_soc_with, PrepareOptions};
+use socet_atpg::{compact_tests, TpgConfig};
 use socet_cells::DftCosts;
 use socet_core::schedule;
-use socet_gate::elaborate;
+use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
-fn run(mut system: PreparedSystem) {
-    println!("\n{}:", system.soc.name());
+fn run(soc: Soc) {
+    println!("\n{}:", soc.name());
     let costs = DftCosts::default();
+    let (mut system, _) =
+        prepare_soc_with(&soc, &costs, &TpgConfig::default(), &PrepareOptions::new())
+            .expect("paper systems prepare");
     // Baseline TAT with the raw ATPG sets.
-    let choice = vec![0usize; system.soc.cores().len()];
-    let before_tat = schedule(&system.soc, &system.data, &choice, &costs).test_application_time();
+    let choice = vec![0usize; soc.cores().len()];
+    let before_tat = schedule(&soc, &system.data, &choice, &costs).test_application_time();
 
     // Compact each core's set and refresh the per-core vector counts.
-    for cid in system.soc.logic_cores() {
-        let inst = system.soc.core(cid);
-        let nl = elaborate(inst.core())
-            .expect("example cores elaborate")
-            .netlist;
-        let mut tests = generate_tests(&nl, &TpgConfig::default());
-        let stats = compact_tests(&nl, &mut tests);
+    for cid in soc.logic_cores() {
+        let i = cid.index();
+        let (Some(nl), Some(tests)) = (&system.netlists[i], &mut system.tests[i]) else {
+            continue;
+        };
+        let stats = compact_tests(nl, tests);
         println!(
             "  {:<14} {:>4} -> {:>4} vectors ({:>4.1}% smaller), coverage {}",
-            inst.name(),
+            soc.core(cid).name(),
             stats.before,
             stats.after,
             stats.reduction(),
             tests.coverage
         );
-        if let Some(td) = system.data[cid.index()].as_mut() {
+        if let Some(td) = system.data[i].as_mut() {
             td.scan_vectors = tests.vector_count();
         }
     }
-    let after_tat = schedule(&system.soc, &system.data, &choice, &costs).test_application_time();
+    let after_tat = schedule(&soc, &system.data, &choice, &costs).test_application_time();
     println!(
         "  min-area TAT: {before_tat} -> {after_tat} cycles (x{:.2})",
         before_tat as f64 / after_tat.max(1) as f64
@@ -49,6 +51,6 @@ fn run(mut system: PreparedSystem) {
 
 fn main() {
     println!("ABLATION: static test-set compaction");
-    run(PreparedSystem::prepare(barcode_system()));
-    run(PreparedSystem::prepare(system2()));
+    run(barcode_system());
+    run(system2());
 }

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release -p socet-bench --bin export_artifacts`
 
-use socet_bench::PreparedSystem;
+use socet::flow::{prepare_soc_with, PrepareOptions};
+use socet_atpg::TpgConfig;
 use socet_cells::DftCosts;
 use socet_core::{build_controller, render_plan, schedule, Ccg};
 use socet_gate::export::to_verilog;
-use socet_hscan::insert_hscan;
 use socet_rtl::export::dump_soc;
 use socet_socs::barcode_system;
 use socet_transparency::Rcg;
@@ -18,16 +18,17 @@ use std::path::Path;
 fn main() -> std::io::Result<()> {
     let out = Path::new("artifacts");
     fs::create_dir_all(out)?;
-    let system = PreparedSystem::prepare(barcode_system());
+    let soc = &barcode_system();
     let costs = DftCosts::default();
-    let soc = &system.soc;
+    let (system, _) = prepare_soc_with(soc, &costs, &TpgConfig::default(), &PrepareOptions::new())
+        .expect("System 1 prepares");
 
     // Per-core RCGs.
     for cid in soc.logic_cores() {
         let inst = soc.core(cid);
         let core = inst.core();
-        let hscan = insert_hscan(core, &costs);
-        let rcg = Rcg::extract(core, &hscan);
+        let data = system.data[cid.index()].as_ref().expect("logic core");
+        let rcg = Rcg::extract(core, &data.hscan);
         let path = out.join(format!("rcg_{}.dot", inst.name().to_lowercase()));
         fs::write(&path, rcg.to_dot(core))?;
         println!("wrote {}", path.display());

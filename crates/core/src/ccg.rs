@@ -435,9 +435,7 @@ mod tests {
     use super::*;
     use crate::plan::CoreTestData;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn buf_core(name: &str) -> Arc<socet_rtl::Core> {
@@ -451,14 +449,7 @@ mod tests {
     }
 
     fn data_for(core: &socet_rtl::Core) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: 10,
-        }
+        CoreTestData::synthesize(core, &DftCosts::default(), 10).unwrap()
     }
 
     #[test]

@@ -452,20 +452,11 @@ struct Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: vectors,
-        }
+        CoreTestData::synthesize(core, &DftCosts::default(), vectors).unwrap()
     }
 
     fn pipeline_core(name: &str, depth: usize) -> Arc<socet_rtl::Core> {

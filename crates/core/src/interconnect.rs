@@ -107,29 +107,12 @@ pub fn interconnect_report(soc: &Soc, plan: &DesignPoint) -> InterconnectReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::CoreTestData;
+    use crate::plan::{plan_inputs, CoreTestData};
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
-    use socet_transparency::synthesize_versions;
 
     fn prepare(soc: &Soc) -> Vec<Option<CoreTestData>> {
-        let costs = DftCosts::default();
-        soc.cores()
-            .iter()
-            .map(|inst| {
-                if inst.is_memory() {
-                    return None;
-                }
-                let hscan = insert_hscan(inst.core(), &costs);
-                let versions = synthesize_versions(inst.core(), &hscan, &costs);
-                Some(CoreTestData {
-                    versions,
-                    hscan,
-                    scan_vectors: 20,
-                })
-            })
-            .collect()
+        plan_inputs(soc, &DftCosts::default(), 20).unwrap()
     }
 
     #[test]

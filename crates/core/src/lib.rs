@@ -23,10 +23,8 @@
 //!
 //! ```
 //! use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-//! use socet_hscan::insert_hscan;
 //! use socet_cells::DftCosts;
-//! use socet_transparency::synthesize_versions;
-//! use socet_core::{CoreTestData, Explorer, Objective};
+//! use socet_core::{plan_inputs, Explorer, Objective};
 //! use std::sync::Arc;
 //!
 //! // One small core, instantiated twice in a chain.
@@ -49,19 +47,14 @@
 //! let soc = sb.build()?;
 //!
 //! let costs = DftCosts::default();
-//! let hscan = insert_hscan(&core, &costs);
-//! let data = CoreTestData {
-//!     versions: synthesize_versions(&core, &hscan, &costs),
-//!     hscan,
-//!     scan_vectors: 12,
-//! };
-//! let per_core = vec![Some(data.clone()), Some(data)];
+//! // HSCAN + the version ladder per core, 12 precomputed vectors each.
+//! let per_core = plan_inputs(&soc, &costs, 12)?;
 //! let explorer = Explorer::new(&soc, &per_core, costs);
 //! let plan = explorer.optimize(Objective::MinTatUnderArea {
 //!     max_overhead_cells: 10_000,
 //! });
 //! assert!(plan.test_application_time() > 0);
-//! # Ok::<(), socet_rtl::RtlError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 /// The unified observability layer: structured spans, typed counters, a
@@ -91,7 +84,9 @@ pub use interconnect::{interconnect_report, InterconnectReport, UntestedReason};
 pub use metrics::{Metrics, PrepareMetrics};
 pub use parallel::{parallelize, ParallelSchedule};
 pub use pareto::{best_weighted, pareto_front};
-pub use plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
+pub use plan::{
+    plan_inputs, CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux,
+};
 pub use report::render_plan;
 pub use schedule::{schedule, schedule_with, try_schedule, RouteResult, Router, Scheduler};
 pub use tester::{tester_program, validate_program, DriveAction, TesterProgram};

@@ -15,8 +15,8 @@
 //! counters and spans into a [`Recorder`](socet_obs::Recorder), and
 //! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] /
 //! [`AtpgMetrics::from_recorder`] derive the familiar shapes from the one
-//! event stream. The ad-hoc merge helpers survive as thin shims (some
-//! deprecated) so downstream code keeps compiling.
+//! event stream. [`Metrics::merge`] folds whole views together, for
+//! callers that keep one view per run.
 
 use socet_atpg::AtpgMetrics;
 use socet_obs::{names, Counter, Recorder};
@@ -24,7 +24,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Counters and stage wall-times of one core-preparation pipeline run
-/// (`socet::flow::prepare_soc`): how many physical instances were requested,
+/// (`socet::flow::prepare_soc_with`): how many physical instances were requested,
 /// how many unique cores actually had to be prepared, and where each
 /// artifact came from — computed fresh, shared through the in-process memo,
 /// or loaded from the on-disk store.
@@ -90,14 +90,9 @@ impl PrepareMetrics {
         }
     }
 
-    /// Folds `other` into `self` — used to aggregate across pipeline runs
-    /// (counters and times add; `workers` keeps the widest fan-out seen).
-    #[deprecated(
-        since = "0.1.0",
-        note = "aggregate through socet_obs::Recorder::merge_child and derive \
-                the view with PrepareMetrics::from_recorder"
-    )]
-    pub fn merge(&mut self, other: &PrepareMetrics) {
+    /// Folds `other` into `self`: counters and times add; `workers` keeps
+    /// the widest fan-out seen.
+    fn merge(&mut self, other: &PrepareMetrics) {
         self.instances += other.instances;
         self.unique_cores += other.unique_cores;
         self.memo_hits += other.memo_hits;
@@ -223,46 +218,7 @@ impl Metrics {
         self.route_time += other.route_time;
         self.assemble_time += other.assemble_time;
         self.atpg.merge(&other.atpg);
-        self.merge_prepare_fields(&other.prepare);
-    }
-
-    /// Folds one ATPG run's counters (e.g. a
-    /// [`TestSet`](socet_atpg::TestSet)'s `stats`) into this flow's totals.
-    #[deprecated(
-        since = "0.1.0",
-        note = "record through a socet_obs::Recorder (AtpgMetrics::record_into \
-                or AtpgMetrics::publish) and derive with Metrics::from_recorder"
-    )]
-    pub fn merge_atpg(&mut self, stats: &AtpgMetrics) {
-        self.atpg.merge(stats);
-    }
-
-    /// Folds one preparation pipeline run's counters into this flow's
-    /// totals.
-    #[deprecated(
-        since = "0.1.0",
-        note = "aggregate through socet_obs::Recorder::merge_child and derive \
-                the view with Metrics::from_recorder"
-    )]
-    pub fn merge_prepare(&mut self, stats: &PrepareMetrics) {
-        self.merge_prepare_fields(stats);
-    }
-
-    fn merge_prepare_fields(&mut self, stats: &PrepareMetrics) {
-        let p = &mut self.prepare;
-        p.instances += stats.instances;
-        p.unique_cores += stats.unique_cores;
-        p.memo_hits += stats.memo_hits;
-        p.disk_hits += stats.disk_hits;
-        p.disk_misses += stats.disk_misses;
-        p.disk_writes += stats.disk_writes;
-        p.workers = p.workers.max(stats.workers);
-        p.hscan_time += stats.hscan_time;
-        p.versions_time += stats.versions_time;
-        p.elaborate_time += stats.elaborate_time;
-        p.atpg_time += stats.atpg_time;
-        p.io_time += stats.io_time;
-        p.total_time += stats.total_time;
+        self.prepare.merge(&other.prepare);
     }
 }
 
@@ -338,15 +294,29 @@ mod tests {
                 blocks_simulated: 12,
                 ..AtpgMetrics::default()
             },
-            prepare: PrepareMetrics::default(),
+            prepare: PrepareMetrics {
+                instances: 4,
+                workers: 2,
+                total_time: Duration::from_micros(6),
+                ..PrepareMetrics::default()
+            },
         };
-        let b = a.clone();
+        let b = Metrics {
+            prepare: PrepareMetrics {
+                workers: 8,
+                ..a.prepare
+            },
+            ..a.clone()
+        };
         a.merge(&b);
         assert_eq!(a.evaluations, 2);
         assert_eq!(a.ccg_edges_rebuilt, 8);
         assert_eq!(a.system_mux_fallbacks, 14);
         assert_eq!(a.route_time, Duration::from_micros(18));
         assert_eq!(a.atpg.blocks_simulated, 24);
+        assert_eq!(a.prepare.instances, 8);
+        assert_eq!(a.prepare.total_time, Duration::from_micros(12));
+        assert_eq!(a.prepare.workers, 8, "merge keeps the widest fan-out");
     }
 
     #[test]
@@ -381,26 +351,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn merge_atpg_folds_engine_counters() {
-        let mut m = Metrics::new();
-        m.merge_atpg(&AtpgMetrics {
-            cone_gate_evals: 5,
-            fill_mask_events: 1,
-            ..AtpgMetrics::default()
-        });
-        m.merge_atpg(&AtpgMetrics {
-            cone_gate_evals: 7,
-            ..AtpgMetrics::default()
-        });
-        assert_eq!(m.atpg.cone_gate_evals, 12);
-        assert_eq!(m.atpg.fill_mask_events, 1);
-        // The ATPG block only renders once counters are nonzero.
-        assert!(!Metrics::new().to_string().contains("atpg engine stats"));
-        assert!(m.to_string().contains("atpg engine stats"));
-    }
-
-    #[test]
     fn display_names_every_counter() {
         let m = Metrics::new();
         let s = m.to_string();
@@ -416,43 +366,41 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn prepare_metrics_merge_and_render() {
-        let mut a = PrepareMetrics {
-            instances: 4,
-            unique_cores: 2,
-            memo_hits: 2,
-            disk_hits: 1,
-            disk_misses: 1,
-            disk_writes: 1,
-            workers: 2,
-            hscan_time: Duration::from_micros(1),
-            versions_time: Duration::from_micros(2),
-            elaborate_time: Duration::from_micros(3),
-            atpg_time: Duration::from_micros(4),
-            io_time: Duration::from_micros(5),
-            total_time: Duration::from_micros(6),
+    fn prepare_metrics_render() {
+        let m = PrepareMetrics {
+            instances: 8,
+            unique_cores: 4,
+            memo_hits: 4,
+            disk_hits: 2,
+            disk_misses: 2,
+            disk_writes: 2,
+            workers: 8,
+            hscan_time: Duration::from_micros(2),
+            versions_time: Duration::from_micros(4),
+            elaborate_time: Duration::from_micros(6),
+            atpg_time: Duration::from_micros(8),
+            io_time: Duration::from_micros(10),
+            total_time: Duration::from_micros(12),
         };
-        let b = PrepareMetrics { workers: 8, ..a };
-        a.merge(&b);
-        assert_eq!(a.instances, 8);
-        assert_eq!(a.memo_hits, 4);
-        assert_eq!(a.disk_hits, 2);
-        assert_eq!(a.workers, 8, "merge keeps the widest fan-out");
-        assert_eq!(a.total_time, Duration::from_micros(12));
+        let s = m.to_string();
+        assert!(s.contains("8 (4 unique cores, 8 workers)"), "{s}");
         // The CI cache-smoke step greps for "<n> disk hits" with n > 0.
-        assert!(a.to_string().contains("2 disk hits"), "{a}");
+        assert!(s.contains("2 disk hits"), "{s}");
+        assert!(s.contains("total wall time        : 12 µs"), "{s}");
     }
 
     #[test]
-    #[allow(deprecated)]
     fn prepare_block_renders_only_when_nonzero() {
-        let mut m = Metrics::new();
-        assert!(!m.to_string().contains("prepare pipeline stats"));
-        m.merge_prepare(&PrepareMetrics {
-            instances: 3,
-            ..PrepareMetrics::default()
-        });
+        assert!(!Metrics::new()
+            .to_string()
+            .contains("prepare pipeline stats"));
+        let m = Metrics {
+            prepare: PrepareMetrics {
+                instances: 3,
+                ..PrepareMetrics::default()
+            },
+            ..Metrics::default()
+        };
         assert!(m.to_string().contains("prepare pipeline stats"));
         assert!(m.to_string().contains("0 disk hits"));
     }

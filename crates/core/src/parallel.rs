@@ -125,9 +125,7 @@ mod tests {
     use crate::plan::CoreTestData;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn buf_core() -> Arc<socet_rtl::Core> {
@@ -141,13 +139,7 @@ mod tests {
     }
 
     fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        CoreTestData {
-            versions: synthesize_versions(core, &hscan, &costs),
-            hscan,
-            scan_vectors: vectors,
-        }
+        CoreTestData::synthesize(core, &DftCosts::default(), vectors).unwrap()
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Data types of the chip-level test plan: per-core test data, design
 //! points, episodes and system-level test muxes.
 
-use socet_cells::{AreaReport, CellLibrary};
-use socet_hscan::HscanResult;
-use socet_rtl::{CoreInstanceId, PortId};
-use socet_transparency::CoreVersion;
+use socet_cells::{AreaReport, CellLibrary, DftCosts};
+use socet_hscan::{insert_hscan, HscanResult};
+use socet_rtl::{Core, CoreInstanceId, PortId, Soc};
+use socet_transparency::{try_synthesize_versions, CoreVersion, SearchError};
 use std::fmt;
 
 /// Everything the chip-level planner needs to know about one core, produced
@@ -21,11 +21,67 @@ pub struct CoreTestData {
 }
 
 impl CoreTestData {
+    /// The first two per-core stages of the flow: HSCAN insertion, then the
+    /// transparency version ladder, paired with `scan_vectors`
+    /// precomputed combinational vectors.
+    ///
+    /// # Errors
+    ///
+    /// A core without an input port ([`SearchError::NoInputPorts`]) or
+    /// without an output port ([`SearchError::NoOutputPorts`]) has nowhere
+    /// to scan in or out; it is rejected before HSCAN insertion runs.
+    pub fn synthesize(
+        core: &Core,
+        costs: &DftCosts,
+        scan_vectors: usize,
+    ) -> Result<CoreTestData, SearchError> {
+        if core.input_ports().is_empty() {
+            return Err(SearchError::NoInputPorts {
+                core: core.name().to_owned(),
+            });
+        }
+        if core.output_ports().is_empty() {
+            return Err(SearchError::NoOutputPorts {
+                core: core.name().to_owned(),
+            });
+        }
+        let hscan = insert_hscan(core, costs);
+        let versions = try_synthesize_versions(core, &hscan, costs)?;
+        Ok(CoreTestData {
+            versions,
+            hscan,
+            scan_vectors,
+        })
+    }
+
     /// HSCAN test length for this core: each combinational vector costs
     /// `depth` shift cycles plus one apply cycle.
     pub fn hscan_vectors(&self) -> usize {
         self.hscan.test_length(self.scan_vectors)
     }
+}
+
+/// Chip-level planning inputs for every core instance of `soc`, with a
+/// fixed `scan_vectors` count per logic core and `None` for memory cores —
+/// [`CoreTestData::synthesize`] over the SOC, without gate-level ATPG.
+///
+/// # Errors
+///
+/// The [`SearchError`] of the first logic instance, in declaration order,
+/// that cannot be synthesized.
+pub fn plan_inputs(
+    soc: &Soc,
+    costs: &DftCosts,
+    scan_vectors: usize,
+) -> Result<Vec<Option<CoreTestData>>, SearchError> {
+    soc.cores()
+        .iter()
+        .map(|inst| {
+            (!inst.is_memory())
+                .then(|| CoreTestData::synthesize(inst.core(), costs, scan_vectors))
+                .transpose()
+        })
+        .collect()
 }
 
 /// A system-level test multiplexer connecting a core port directly to a

@@ -13,10 +13,8 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use socet_core::{schedule, report::render_plan, CoreTestData};
+/// use socet_core::{plan_inputs, schedule, report::render_plan};
 /// use socet_cells::DftCosts;
-/// use socet_hscan::insert_hscan;
-/// use socet_transparency::synthesize_versions;
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
@@ -34,17 +32,12 @@ use std::fmt::Write as _;
 /// # sb.connect_core_to_pin(u0, o, po)?;
 /// # let soc = sb.build()?;
 /// let costs = DftCosts::default();
-/// let hscan = insert_hscan(&core, &costs);
-/// let data = vec![Some(CoreTestData {
-///     versions: synthesize_versions(&core, &hscan, &costs),
-///     hscan,
-///     scan_vectors: 10,
-/// })];
+/// let data = plan_inputs(&soc, &costs, 10)?;
 /// let plan = schedule(&soc, &data, &[0], &costs);
 /// let text = render_plan(&soc, &data, &plan);
 /// assert!(text.contains("test plan for soc chip"));
 /// assert!(text.contains("global test application time"));
-/// # Ok::<(), socet_rtl::RtlError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn render_plan(soc: &Soc, data: &[Option<CoreTestData>], plan: &DesignPoint) -> String {
     let lib = CellLibrary::generic_08um();
@@ -150,9 +143,7 @@ mod tests {
     use super::*;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn tiny() -> (Soc, Vec<Option<CoreTestData>>) {
@@ -173,12 +164,7 @@ mod tests {
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
-        let hscan = insert_hscan(&core, &costs);
-        let td = CoreTestData {
-            versions: synthesize_versions(&core, &hscan, &costs),
-            hscan,
-            scan_vectors: 10,
-        };
+        let td = CoreTestData::synthesize(&core, &costs, 10).unwrap();
         (soc, vec![Some(td.clone()), Some(td)])
     }
 

@@ -320,10 +320,8 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 ///
 /// ```
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-/// # use socet_hscan::insert_hscan;
 /// # use socet_cells::DftCosts;
-/// # use socet_transparency::synthesize_versions;
-/// # use socet_core::{CoreTestData, Scheduler};
+/// # use socet_core::{plan_inputs, Scheduler};
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
 /// # let i = b.port("i", Direction::In, 8).unwrap();
@@ -340,12 +338,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # sb.connect_core_to_pin(u0, o, po).unwrap();
 /// # let soc = sb.build().unwrap();
 /// # let costs = DftCosts::default();
-/// # let hscan = insert_hscan(&core, &costs);
-/// # let data = vec![Some(CoreTestData {
-/// #     versions: synthesize_versions(&core, &hscan, &costs),
-/// #     hscan,
-/// #     scan_vectors: 10,
-/// # })];
+/// # let data = plan_inputs(&soc, &costs, 10).unwrap();
 /// let mut scheduler = Scheduler::new(&soc, &data, &costs);
 /// let slow = scheduler.evaluate(&[0])?;
 /// let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
@@ -407,16 +400,6 @@ impl<'a> Scheduler<'a> {
     pub fn take_recorder(&mut self) -> Recorder {
         let fresh = self.rec.fork();
         std::mem::replace(&mut self.rec, fresh)
-    }
-
-    /// Returns the accumulated metrics and resets them to zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Scheduler::take_recorder and derive the view with \
-                Metrics::from_recorder"
-    )]
-    pub fn take_metrics(&mut self) -> Metrics {
-        Metrics::from_recorder(&self.take_recorder())
     }
 
     /// Routes and schedules one version choice: build → route → assemble.
@@ -800,20 +783,11 @@ fn push_mux(muxes: &mut Vec<SystemMux>, m: SystemMux) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: vectors,
-        }
+        CoreTestData::synthesize(core, &DftCosts::default(), vectors).unwrap()
     }
 
     fn buf_core(name: &str, depth: usize) -> Arc<socet_rtl::Core> {

@@ -9,10 +9,8 @@
 use crate::replay::{verify_design_point, VerifyOptions, VerifyReport};
 use crate::VerifyError;
 use socet_cells::DftCosts;
-use socet_core::{try_schedule, CoreTestData};
-use socet_hscan::insert_hscan;
+use socet_core::{plan_inputs, try_schedule, CoreTestData};
 use socet_socs::SocSpec;
-use socet_transparency::try_synthesize_versions;
 use std::fmt::Write as _;
 
 fn mix(mut x: u64) -> u64 {
@@ -43,15 +41,11 @@ pub fn verify_spec(
             choice.push(0);
             continue;
         }
-        let hscan = insert_hscan(inst.core(), &costs);
-        let versions = try_synthesize_versions(inst.core(), &hscan, &costs)?;
-        let n = versions.len().max(1);
+        let scan_vectors = 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize;
+        let d = CoreTestData::synthesize(inst.core(), &costs, scan_vectors)?;
+        let n = d.versions.len().max(1);
         choice.push((mix(case_seed ^ (1000 + i as u64)) % n as u64) as usize);
-        data.push(Some(CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize,
-        }));
+        data.push(Some(d));
     }
     let plan = try_schedule(&soc, &data, &choice, &costs)?;
     verify_design_point(&soc, &data, &plan, opts)
@@ -69,20 +63,7 @@ pub fn verify_soc(
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
     let costs = DftCosts::default();
-    let mut data: Vec<Option<CoreTestData>> = Vec::with_capacity(soc.cores().len());
-    for inst in soc.cores() {
-        if inst.is_memory() {
-            data.push(None);
-            continue;
-        }
-        let hscan = insert_hscan(inst.core(), &costs);
-        let versions = try_synthesize_versions(inst.core(), &hscan, &costs)?;
-        data.push(Some(CoreTestData {
-            versions,
-            hscan,
-            scan_vectors,
-        }));
-    }
+    let data = plan_inputs(soc, &costs, scan_vectors)?;
     let plan = try_schedule(soc, &data, choice, &costs)?;
     verify_design_point(soc, &data, &plan, opts)
 }

@@ -1132,9 +1132,7 @@ pub fn verify_design_point(
 mod tests {
     use super::*;
     use socet_cells::DftCosts;
-    use socet_core::try_schedule;
-    use socet_hscan::insert_hscan;
-    use socet_transparency::try_synthesize_versions;
+    use socet_core::{plan_inputs, try_schedule};
 
     fn check(episode: usize) -> Check {
         Check {
@@ -1189,22 +1187,7 @@ mod tests {
     fn system1() -> (Soc, Vec<Option<CoreTestData>>, DesignPoint) {
         let soc = socet_socs::barcode_system();
         let costs = DftCosts::default();
-        let data: Vec<Option<CoreTestData>> = soc
-            .cores()
-            .iter()
-            .map(|inst| {
-                (!inst.is_memory()).then(|| {
-                    let hscan = insert_hscan(inst.core(), &costs);
-                    let versions = try_synthesize_versions(inst.core(), &hscan, &costs)
-                        .expect("paper cores have versions");
-                    CoreTestData {
-                        versions,
-                        hscan,
-                        scan_vectors: 3,
-                    }
-                })
-            })
-            .collect();
+        let data = plan_inputs(&soc, &costs, 3).expect("paper cores have versions");
         let plan = try_schedule(&soc, &data, &vec![0; soc.cores().len()], &costs)
             .expect("paper design point schedules");
         (soc, data, plan)

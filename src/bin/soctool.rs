@@ -44,12 +44,14 @@
 
 use socet::bist::plan_memory_bist;
 use socet::cells::{CellLibrary, DftCosts};
-use socet::core::{parallelize, pareto_front, render_plan, Ccg, CoreTestData, Explorer};
+use socet::core::{
+    parallelize, pareto_front, plan_inputs, render_plan, Ccg, CoreTestData, Explorer,
+};
 use socet::hscan::insert_hscan;
 use socet::obs::{Recorder, SharedRecorder};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, system2, SyntheticConfig};
-use socet::transparency::{synthesize_versions, Rcg};
+use socet::transparency::Rcg;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -109,23 +111,12 @@ fn load_system(name: &str) -> Option<Soc> {
     }
 }
 
-fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
+/// Planning inputs at a fixed 105 combinational vectors per logic core;
+/// a core the flow rejects is reported to stderr and yields `None`.
+fn plan_data(soc: &Soc, costs: &DftCosts) -> Option<Vec<Option<CoreTestData>>> {
+    plan_inputs(soc, costs, 105)
+        .inspect_err(|e| eprintln!("cannot prepare {}: {e}", soc.name()))
+        .ok()
 }
 
 fn parse_choice(soc: &Soc, arg: Option<&str>) -> Option<Vec<usize>> {
@@ -273,7 +264,9 @@ fn main() -> ExitCode {
     let lib = CellLibrary::generic_08um();
     match cmd {
         "report" => {
-            let data = prepare(&soc, 105);
+            let Some(data) = plan_data(&soc, &costs) else {
+                return ExitCode::FAILURE;
+            };
             let Some(choice) = parse_choice(&soc, args.get(2).map(String::as_str)) else {
                 return usage();
             };
@@ -305,7 +298,9 @@ fn main() -> ExitCode {
             }
         }
         "sweep" => {
-            let data = prepare(&soc, 105);
+            let Some(data) = plan_data(&soc, &costs) else {
+                return ExitCode::FAILURE;
+            };
             let explorer = Explorer::new(&soc, &data, costs);
             let points = explorer.sweep();
             println!("{:>10} {:>12}  choice", "ovhd", "TAT");
@@ -349,7 +344,9 @@ fn main() -> ExitCode {
             print!("{}", rcg.to_dot(core));
         }
         "dot-ccg" => {
-            let data = prepare(&soc, 105);
+            let Some(data) = plan_data(&soc, &costs) else {
+                return ExitCode::FAILURE;
+            };
             let Some(choice) = parse_choice(&soc, args.get(2).map(String::as_str)) else {
                 return usage();
             };
@@ -437,7 +434,9 @@ fn main() -> ExitCode {
         "verify" => {
             let mut rec = Recorder::new();
             let sink = rec.install();
-            let data = prepare(&soc, 105);
+            let Some(data) = plan_data(&soc, &costs) else {
+                return ExitCode::FAILURE;
+            };
             let limits: Vec<usize> = data
                 .iter()
                 .map(|d| d.as_ref().map_or(1, |d| d.versions.len().max(1)))

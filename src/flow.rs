@@ -45,10 +45,10 @@ use socet_cells::{CellLibrary, CodecError, Dec, DftCosts, Enc, Fingerprint, Stab
 use socet_core::{CoreTestData, PrepareMetrics};
 use socet_gate::codec::{decode_netlist, encode_netlist};
 use socet_gate::{elaborate, GateError, GateNetlist};
-use socet_hscan::{decode_hscan, encode_hscan, insert_hscan};
+use socet_hscan::{decode_hscan, encode_hscan};
 use socet_obs::{names, Counter, Recorder, SharedRecorder};
 use socet_rtl::{Core, CoreInstanceId, Soc};
-use socet_transparency::{decode_versions, encode_versions, synthesize_versions};
+use socet_transparency::{decode_versions, encode_versions, SearchError};
 
 /// Per-core artifacts of the SOCET core-level flow for a whole SOC.
 #[derive(Debug)]
@@ -159,19 +159,48 @@ impl PreparedSoc {
     }
 }
 
+/// Why the core-level flow failed on one core: the stage that rejected it
+/// and that stage's own error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PrepareCause {
+    /// HSCAN insertion or version synthesis rejected the core (it has no
+    /// input or no output port).
+    Synthesis(SearchError),
+    /// Gate-level elaboration failed.
+    Elaboration(GateError),
+}
+
+impl fmt::Display for PrepareCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PrepareCause::Synthesis(e) => e.fmt(f),
+            PrepareCause::Elaboration(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for PrepareCause {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            PrepareCause::Synthesis(e) => Some(e),
+            PrepareCause::Elaboration(e) => Some(e),
+        }
+    }
+}
+
 /// A core-level flow failure, pinned to the SOC instance it occurred on.
 ///
-/// [`prepare_soc`] processes instances in declaration order conceptually;
-/// whatever the worker count, the error reported is the one the serial
-/// flow would have hit first.
+/// [`prepare_soc_with`] processes instances in declaration order
+/// conceptually; whatever the worker count, the error reported is the one
+/// the serial flow would have hit first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrepareError {
     /// The failing core instance.
     pub core: CoreInstanceId,
     /// The failing instance's name in the SOC.
     pub name: String,
-    /// The underlying elaboration failure.
-    pub source: GateError,
+    /// The underlying synthesis or elaboration failure.
+    pub source: PrepareCause,
 }
 
 impl fmt::Display for PrepareError {
@@ -394,7 +423,7 @@ fn prepare_unique(
     costs: &DftCosts,
     tpg: &TpgConfig,
     cache: Option<(&Path, Fingerprint)>,
-) -> Result<CoreArtifact, GateError> {
+) -> Result<CoreArtifact, PrepareCause> {
     let _core_span = socet_obs::span(names::PREPARE_CORE);
     if let Some((dir, fp)) = cache {
         let hit = {
@@ -408,16 +437,14 @@ fn prepare_unique(
         socet_obs::add(Counter::DiskMisses, 1);
     }
 
-    let hscan = insert_hscan(core, costs);
-    let versions = synthesize_versions(core, &hscan, costs);
-    let elab = elaborate(core)?;
+    let data = CoreTestData::synthesize(core, costs, 0).map_err(PrepareCause::Synthesis)?;
+    let elab = elaborate(core).map_err(PrepareCause::Elaboration)?;
     let tests = generate_tests(&elab.netlist, tpg);
 
     let artifact = CoreArtifact {
         data: CoreTestData {
-            versions,
-            hscan,
             scan_vectors: tests.vector_count(),
+            ..data
         },
         netlist: elab.netlist,
         tests,
@@ -489,53 +516,11 @@ fn group_by_core<'a>(soc: &'a Soc, costs: &DftCosts, tpg: &TpgConfig) -> Vec<Gro
     groups
 }
 
-/// Runs the core-level flow on one core: HSCAN, version synthesis,
-/// elaboration, ATPG.
-///
-/// # Errors
-///
-/// Propagates [`GateError`] from elaboration (pathological cores only).
-///
-/// # Examples
-///
-/// ```
-/// use socet::flow::prepare_core;
-/// use socet::cells::DftCosts;
-/// use socet::atpg::TpgConfig;
-/// let core = socet::socs::gcd_core();
-/// let (data, _netlist, tests) = prepare_core(&core, &DftCosts::default(), &TpgConfig::default())?;
-/// assert_eq!(data.versions.len(), 3);
-/// assert!(tests.coverage.fault_coverage() > 50.0);
-/// # Ok::<(), socet::gate::GateError>(())
-/// ```
-pub fn prepare_core(
-    core: &Core,
-    costs: &DftCosts,
-    tpg: &TpgConfig,
-) -> Result<(CoreTestData, GateNetlist, TestSet), GateError> {
-    let artifact = prepare_unique(core, costs, tpg, None)?;
-    Ok((artifact.data, artifact.netlist, artifact.tests))
-}
-
-/// Runs the core-level flow on every logic core of `soc` through the
-/// content-addressed pipeline with default options (auto worker count, no
-/// disk store).
-///
-/// # Errors
-///
-/// Returns the [`PrepareError`] for the first instance (in declaration
-/// order) whose elaboration fails — the same instance the serial flow
-/// would report.
-pub fn prepare_soc(
-    soc: &Soc,
-    costs: &DftCosts,
-    tpg: &TpgConfig,
-) -> Result<PreparedSoc, PrepareError> {
-    prepare_soc_with(soc, costs, tpg, &PrepareOptions::default()).map(|(p, _)| p)
-}
-
-/// [`prepare_soc`] with explicit [`PrepareOptions`], also returning the
-/// pipeline's [`PrepareMetrics`].
+/// Runs the core-level flow — HSCAN, version synthesis, elaboration,
+/// ATPG — on every logic core of `soc`, returning the prepared artifacts
+/// and the pipeline's [`PrepareMetrics`]. This is the one preparation
+/// entry point; [`socet_core::plan_inputs`] runs only its first two stages,
+/// for planning with a fixed vector count.
 ///
 /// The result is bit-identical to the serial, uncached flow for every
 /// worker count and cache state: repeated instances share one preparation
@@ -545,8 +530,30 @@ pub fn prepare_soc(
 ///
 /// The returned [`PrepareMetrics`] is a view over a fresh [`Recorder`]
 /// that observed the run ([`PrepareMetrics::from_recorder`]); when
-/// [`PrepareOptions::recorder`] is set, the recorder itself — spans and
-/// all — is folded into the shared handle afterwards.
+/// [`PrepareOptions::recorder`] is set, the recorder itself — the
+/// `prepare` root span, per-core stage spans, cache counters — is folded
+/// into the shared handle afterwards.
+///
+/// # Errors
+///
+/// Returns the [`PrepareError`] for the first instance (in declaration
+/// order) that synthesis or elaboration rejects — the same instance the
+/// serial flow would report.
+///
+/// # Examples
+///
+/// ```
+/// use socet::atpg::TpgConfig;
+/// use socet::cells::DftCosts;
+/// use socet::flow::{prepare_soc_with, PrepareOptions};
+/// let soc = socet::socs::system2();
+/// let opts = PrepareOptions::new();
+/// let (prepared, metrics) = prepare_soc_with(&soc, &DftCosts::default(), &TpgConfig::default(), &opts)?;
+/// assert_eq!(metrics.unique_cores, 3);
+/// assert!(prepared.data.iter().flatten().all(|d| d.versions.len() == 3));
+/// assert!(prepared.aggregate_coverage().fault_coverage() > 50.0);
+/// # Ok::<(), socet::flow::PrepareError>(())
+/// ```
 pub fn prepare_soc_with(
     soc: &Soc,
     costs: &DftCosts,
@@ -554,37 +561,17 @@ pub fn prepare_soc_with(
     opts: &PrepareOptions,
 ) -> Result<(PreparedSoc, PrepareMetrics), PrepareError> {
     let mut rec = Recorder::new();
-    let result = prepare_soc_recorded(soc, costs, tpg, opts, &mut rec);
-    let metrics = PrepareMetrics::from_recorder(&rec);
-    if let Some(shared) = &opts.recorder {
-        shared.lock().merge_child(rec);
-    }
-    result.map(|prepared| (prepared, metrics))
-}
-
-/// [`prepare_soc_with`] recording into a caller-owned [`Recorder`]: the
-/// run's full event stream — the `prepare` root span, per-core stage
-/// spans, cache counters — lands in `rec`, ready for
-/// [`Recorder::to_json`] / [`Recorder::to_folded`] or a
-/// [`PrepareMetrics::from_recorder`] view.
-///
-/// # Errors
-///
-/// Same contract as [`prepare_soc_with`].
-pub fn prepare_soc_recorded(
-    soc: &Soc,
-    costs: &DftCosts,
-    tpg: &TpgConfig,
-    opts: &PrepareOptions,
-    rec: &mut Recorder,
-) -> Result<PreparedSoc, PrepareError> {
     let span = rec.begin(names::PREPARE);
     let result = {
         let _sink = rec.install();
         prepare_soc_inner(soc, costs, tpg, opts)
     };
     rec.end(span);
-    result
+    let metrics = PrepareMetrics::from_recorder(&rec);
+    if let Some(shared) = &opts.recorder {
+        shared.lock().merge_child(rec);
+    }
+    result.map(|prepared| (prepared, metrics))
 }
 
 /// The pipeline body. Runs with the caller's recorder installed as the
@@ -608,7 +595,7 @@ fn prepare_soc_inner(
     .max(1);
     socet_obs::add(Counter::Workers, workers as u64);
 
-    let mut results: Vec<Option<Result<CoreArtifact, GateError>>> = Vec::new();
+    let mut results: Vec<Option<Result<CoreArtifact, PrepareCause>>> = Vec::new();
     results.resize_with(groups.len(), || None);
 
     if workers <= 1 {
@@ -627,7 +614,7 @@ fn prepare_soc_inner(
                     // shares the parent's epoch and enabledness.
                     let mut rec = socet_obs::fork_local();
                     s.spawn(move || {
-                        let out: Vec<(usize, Result<CoreArtifact, GateError>)> = {
+                        let out: Vec<(usize, Result<CoreArtifact, PrepareCause>)> = {
                             let _sink = rec.install();
                             part.iter()
                                 .map(|(gi, g)| {
@@ -704,7 +691,7 @@ fn prepare_soc_inner(
     })
 }
 
-/// The plain serial flow, one [`prepare_core`] per logic instance with no
+/// The plain serial flow, one core-level run per logic instance with no
 /// memo, no parallelism and no disk store — the oracle the pipeline's
 /// equivalence tests compare against.
 ///
@@ -727,14 +714,14 @@ pub fn prepare_soc_uncached(
             tests.push(None);
             continue;
         }
-        let (d, nl, t) = prepare_core(inst.core(), costs, tpg).map_err(|source| PrepareError {
+        let a = prepare_unique(inst.core(), costs, tpg, None).map_err(|source| PrepareError {
             core: CoreInstanceId::from_index(i),
             name: inst.name().to_owned(),
             source,
         })?;
-        data.push(Some(d));
-        netlists.push(Some(nl));
-        tests.push(Some(t));
+        data.push(Some(a.data));
+        netlists.push(Some(a.netlist));
+        tests.push(Some(a.tests));
     }
     Ok(PreparedSoc {
         data,
@@ -765,17 +752,27 @@ mod tests {
             max_backtracks: 128,
             ..TpgConfig::default()
         };
-        let (data, nl, tests) = prepare_core(&core, &DftCosts::default(), &tpg).unwrap();
-        assert_eq!(data.versions.len(), 3);
-        assert!(nl.flip_flop_count() > 0);
-        assert!(tests.coverage.fault_coverage() > 60.0, "{}", tests.coverage);
-        assert_eq!(data.scan_vectors, tests.vector_count());
+        let a = prepare_unique(&core, &DftCosts::default(), &tpg, None).unwrap();
+        assert_eq!(a.data.versions.len(), 3);
+        assert!(a.netlist.flip_flop_count() > 0);
+        assert!(
+            a.tests.coverage.fault_coverage() > 60.0,
+            "{}",
+            a.tests.coverage
+        );
+        assert_eq!(a.data.scan_vectors, a.tests.vector_count());
     }
 
     #[test]
     fn prepared_system2_has_all_logic_cores() {
         let soc = socet_socs::system2();
-        let prepared = prepare_soc(&soc, &DftCosts::default(), &light_tpg()).unwrap();
+        let (prepared, _) = prepare_soc_with(
+            &soc,
+            &DftCosts::default(),
+            &light_tpg(),
+            &PrepareOptions::new(),
+        )
+        .unwrap();
         assert_eq!(prepared.data.iter().flatten().count(), 3);
         assert!(prepared.aggregate_coverage().total > 0);
         let lib = CellLibrary::generic_08um();
@@ -832,7 +829,13 @@ mod tests {
     #[test]
     fn aggregate_coverage_counts_each_physical_instance() {
         let soc = twin_soc();
-        let prepared = prepare_soc(&soc, &DftCosts::default(), &light_tpg()).unwrap();
+        let (prepared, _) = prepare_soc_with(
+            &soc,
+            &DftCosts::default(),
+            &light_tpg(),
+            &PrepareOptions::new(),
+        )
+        .unwrap();
         let single = prepared.tests[0].as_ref().unwrap().coverage;
         let agg = prepared.aggregate_coverage();
         // Two physical copies of the core: double the population, double
@@ -873,21 +876,47 @@ mod tests {
 
     #[test]
     fn prepare_error_names_the_instance() {
-        // No CoreBuilder-constructible core makes `elaborate` return an
-        // error today (its failure modes guard builder misuse), so pin the
-        // error type's contract directly: Display names the instance, the
-        // gate-level cause stays reachable through `Error::source`.
-        let e = PrepareError {
-            core: CoreInstanceId::from_index(3),
-            name: "dsp_1".to_owned(),
-            source: GateError::NoOutputs,
-        };
+        // A CoreBuilder-valid core that loads a register from its input
+        // and never drives an output: HSCAN has nowhere to scan out.
+        let mut cb = socet_rtl::CoreBuilder::new("sink");
+        let i = cb.port("i", socet_rtl::Direction::In, 4).unwrap();
+        let r = cb.register("r", 4).unwrap();
+        cb.connect_port_to_reg(i, r).unwrap();
+        let sink = Arc::new(cb.build().unwrap());
+        let gcd = Arc::new(socet_socs::gcd_core());
+        let mut b = SocBuilder::new("portless");
+        let x = b.input_pin("X", 12).unwrap();
+        let g = b.input_pin("G", 4).unwrap();
+        let a = b.instantiate("gcd", Arc::clone(&gcd)).unwrap();
+        let s = b.instantiate("sink_0", sink).unwrap();
+        b.connect_pin_to_core(x, a, gcd.find_port("X").unwrap())
+            .unwrap();
+        b.connect_pin_to_core(g, s, i).unwrap();
+        let soc = b.build().unwrap();
+
+        let e = prepare_soc_with(
+            &soc,
+            &DftCosts::default(),
+            &light_tpg(),
+            &PrepareOptions::new().workers(1),
+        )
+        .unwrap_err();
+        assert_eq!(e.core.index(), 1);
+        assert_eq!(e.name, "sink_0");
         let shown = e.to_string();
-        assert!(shown.contains("dsp_1"), "{shown}");
-        assert!(shown.contains("#3"), "{shown}");
-        assert!(shown.contains("no outputs"), "{shown}");
-        let src = std::error::Error::source(&e).expect("source is chained");
-        assert_eq!(src.to_string(), GateError::NoOutputs.to_string());
+        assert!(shown.contains("sink_0"), "{shown}");
+        assert!(shown.contains("#1"), "{shown}");
+        assert!(shown.contains("no output ports"), "{shown}");
+        // The cause chains through the stage to the search error.
+        let cause = std::error::Error::source(&e).expect("source is chained");
+        let search = cause.source().expect("stage error is chained");
+        assert_eq!(
+            search.to_string(),
+            SearchError::NoOutputPorts {
+                core: "sink".to_owned()
+            }
+            .to_string()
+        );
     }
 
     #[test]

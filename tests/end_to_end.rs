@@ -7,7 +7,7 @@ use socet::atpg::TpgConfig;
 use socet::baselines::{flatten_soc, orig_coverage, FscanBscanReport, TestBusReport};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{Explorer, Objective};
-use socet::flow::prepare_soc;
+use socet::flow::{prepare_soc_with, PrepareOptions};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, system2};
 
@@ -24,7 +24,8 @@ fn light_tpg() -> TpgConfig {
 fn check_system(soc: &Soc, orig: (usize, usize)) {
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let prepared = prepare_soc(soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let (prepared, _) = prepare_soc_with(soc, &costs, &light_tpg(), &PrepareOptions::new())
+        .expect("elaboration succeeds");
 
     // Core-level quality: every core reaches high test efficiency.
     let agg = prepared.aggregate_coverage();
@@ -107,7 +108,8 @@ fn objective_one_and_two_bracket_the_extremes() {
     let soc = system2();
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let (prepared, _) = prepare_soc_with(&soc, &costs, &light_tpg(), &PrepareOptions::new())
+        .expect("elaboration succeeds");
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let min_area = explorer.evaluate(&explorer.min_area_choice());
 
@@ -137,7 +139,8 @@ fn objective_one_and_two_bracket_the_extremes() {
 fn design_points_are_reproducible() {
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let (prepared, _) = prepare_soc_with(&soc, &costs, &light_tpg(), &PrepareOptions::new())
+        .expect("elaboration succeeds");
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let a = explorer.evaluate(&explorer.min_area_choice());
     let b = explorer.evaluate(&explorer.min_area_choice());
@@ -153,7 +156,8 @@ fn preprocessor_address_needs_the_fig9_system_mux() {
     // observing it by existing paths through the cores."
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let (prepared, _) = prepare_soc_with(&soc, &costs, &light_tpg(), &PrepareOptions::new())
+        .expect("elaboration succeeds");
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let plan = explorer.evaluate(&explorer.min_area_choice());
     let prep = soc.find_core("PREPROCESSOR").expect("core exists");

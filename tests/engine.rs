@@ -5,29 +5,14 @@
 
 use proptest::prelude::*;
 use socet::cells::DftCosts;
-use socet::core::{schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler};
-use socet::hscan::insert_hscan;
+use socet::core::{
+    plan_inputs, schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler,
+};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
-use socet::transparency::synthesize_versions;
 
 fn prepare(soc: &Soc) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 20,
-            })
-        })
-        .collect()
+    plan_inputs(soc, &DftCosts::default(), 20).expect("SOC cores synthesize")
 }
 
 fn ladder_len(data: &[Option<CoreTestData>], idx: usize) -> usize {

@@ -5,31 +5,17 @@
 use socet::bist::{march_c, plan_memory_bist, MemoryFault, MemoryModel};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{
-    best_weighted, parallelize, pareto_front, render_plan, schedule, Ccg, CoreTestData, Explorer,
+    best_weighted, parallelize, pareto_front, plan_inputs, render_plan, schedule, Ccg,
+    CoreTestData, Explorer,
 };
 use socet::hscan::insert_hscan;
 use socet::rtl::export::{dump_core, dump_soc};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
-use socet::transparency::{synthesize_versions, Rcg};
+use socet::transparency::Rcg;
 
 fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
+    plan_inputs(soc, &DftCosts::default(), vectors).expect("SOC cores synthesize")
 }
 
 #[test]

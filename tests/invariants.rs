@@ -5,32 +5,15 @@ use proptest::prelude::*;
 use socet::atpg::{compact_tests, fault_list, generate_tests, FaultSim, TpgConfig};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{
-    build_controller, interconnect_report, parallelize, pareto_front, schedule, schedule_with,
-    CoreTestData, Explorer,
+    build_controller, interconnect_report, parallelize, pareto_front, plan_inputs, schedule,
+    schedule_with, CoreTestData, Explorer,
 };
 use socet::gate::elaborate;
-use socet::hscan::insert_hscan;
 use socet::rtl::Soc;
 use socet::socs::{generate_soc, SyntheticConfig};
-use socet::transparency::synthesize_versions;
 
 fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
+    plan_inputs(soc, &DftCosts::default(), vectors).expect("SOC cores synthesize")
 }
 
 proptest! {

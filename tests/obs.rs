@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
 use socet::cells::DftCosts;
-use socet::flow::{prepare_soc_recorded, prepare_soc_with, PrepareOptions, PreparedSoc};
-use socet::obs::{names, Counter, Recorder, SpanRec};
+use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
+use socet::obs::{names, Counter, Recorder, SharedRecorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
 use socet::verify::{verify_soc, VerifyOptions};
 use std::path::PathBuf;
@@ -57,11 +57,13 @@ fn path(spans: &[SpanRec], i: usize) -> Vec<&'static str> {
 #[test]
 fn trace_shape_matches_the_pipeline_structure() {
     let soc = twin_soc();
+    let shared = SharedRecorder::new();
     let opts = PrepareOptions::new()
         .workers(1)
-        .cache_dir(fresh_cache_dir("trace-shape"));
-    let mut rec = Recorder::new();
-    prepare_soc_recorded(&soc, &DftCosts::default(), &light_tpg(), &opts, &mut rec).unwrap();
+        .cache_dir(fresh_cache_dir("trace-shape"))
+        .recorder(shared.clone());
+    prepare_soc_with(&soc, &DftCosts::default(), &light_tpg(), &opts).unwrap();
+    let rec = shared.take();
 
     let spans = rec.spans();
     assert_eq!(spans[0].name, names::PREPARE, "root span opens first");
@@ -167,15 +169,15 @@ fn replay_trace_shape_and_work_counts() {
 #[test]
 fn exporters_emit_wellformed_output() {
     let soc = twin_soc();
-    let mut rec = Recorder::new();
-    prepare_soc_recorded(
+    let shared = SharedRecorder::new();
+    prepare_soc_with(
         &soc,
         &DftCosts::default(),
         &light_tpg(),
-        &PrepareOptions::new().workers(1),
-        &mut rec,
+        &PrepareOptions::new().workers(1).recorder(shared.clone()),
     )
     .unwrap();
+    let rec = shared.take();
 
     let json = rec.to_json();
     assert!(json_parses(&json), "trace must be valid JSON:\n{json}");

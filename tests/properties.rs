@@ -7,7 +7,7 @@ use socet::atpg::{
     fault_list, generate_tests, Fault, FaultSim, Podem, PodemOutcome, SeqFaultSim, TpgConfig,
 };
 use socet::cells::{CellLibrary, DftCosts};
-use socet::core::{schedule, CoreTestData};
+use socet::core::{plan_inputs, schedule};
 use socet::gate::{
     elaborate, CombSim, Force, GateKind, GateNetlist, GateNetlistBuilder, PackedSim, SignalId, Tri,
     P3,
@@ -579,12 +579,7 @@ proptest! {
         sb.connect_core_to_pin(u1, o, po).expect("consistent");
         let soc = sb.build().expect("consistent");
         let costs = DftCosts::default();
-        let h = insert_hscan(&core, &costs);
-        let versions = synthesize_versions(&core, &h, &costs);
-        let data = vec![
-            Some(CoreTestData { versions: versions.clone(), hscan: h.clone(), scan_vectors: vectors }),
-            Some(CoreTestData { versions, hscan: h, scan_vectors: vectors }),
-        ];
+        let data = plan_inputs(&soc, &costs, vectors).expect("both ports exist");
         let choice = vec![0, 0];
         let a = schedule(&soc, &data, &choice, &costs);
         let b = schedule(&soc, &data, &choice, &costs);

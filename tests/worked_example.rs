@@ -12,31 +12,14 @@
 
 use socet::baselines::FscanBscanReport;
 use socet::cells::DftCosts;
-use socet::core::{schedule, CoreTestData};
-use socet::hscan::insert_hscan;
+use socet::core::{plan_inputs, schedule, CoreTestData};
 use socet::rtl::Soc;
 use socet::socs::barcode_system;
-use socet::transparency::synthesize_versions;
 
 /// Builds System 1's planning inputs with the paper's 105 combinational
 /// vectors for every core (the worked example's premise).
 fn paper_inputs(soc: &Soc) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect()
+    plan_inputs(soc, &DftCosts::default(), 105).expect("SOC cores synthesize")
 }
 
 /// The DISPLAY test time under a given CPU version (PREPROCESSOR fixed at
