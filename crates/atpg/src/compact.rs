@@ -36,6 +36,10 @@ impl CompactionStats {
 /// Compacts `tests` against `nl` in place, preserving the detected-fault
 /// set exactly. Returns the before/after statistics.
 ///
+/// The pass's fault-simulation work is recorded into the thread's
+/// installed [`socet_obs`] recorder; [`TestSet::stats`] stays the
+/// generating run's snapshot.
+///
 /// The pass walks the set in reverse generation order (deterministic
 /// vectors first, random fill last — later vectors tend to target harder
 /// faults and cover more of the easy ones incidentally) and keeps a vector
@@ -105,7 +109,6 @@ pub fn compact_tests(nl: &GateNetlist, tests: &mut TestSet) -> CompactionStats {
     });
     // Coverage bookkeeping is unchanged by construction; assert in debug.
     debug_assert_eq!(sim.detected(&faults, &tests.patterns), full);
-    tests.stats.merge(&sim.take_metrics());
     CompactionStats {
         before,
         after: tests.patterns.len(),
@@ -117,6 +120,7 @@ mod tests {
     use super::*;
     use crate::tpg::{generate_tests, TpgConfig};
     use socet_gate::{GateKind, GateNetlistBuilder};
+    use socet_obs::{Counter, Recorder};
 
     fn adder4() -> GateNetlist {
         let mut b = GateNetlistBuilder::new("add4");
@@ -179,6 +183,21 @@ mod tests {
         assert_eq!(stats.before, 0);
         assert_eq!(stats.after, 0);
         assert_eq!(stats.reduction(), 0.0);
+    }
+
+    #[test]
+    fn compaction_records_into_the_installed_recorder() {
+        let nl = adder4();
+        let mut tests = generate_tests(&nl, &TpgConfig::default());
+        let generated = tests.stats;
+        let mut rec = Recorder::new();
+        {
+            let _sink = rec.install();
+            compact_tests(&nl, &mut tests);
+        }
+        assert!(rec.counter(Counter::BlocksSimulated) > 0);
+        assert!(rec.counter(Counter::ConeGateEvals) > 0);
+        assert_eq!(tests.stats, generated, "stats stay the generation snapshot");
     }
 
     #[test]

@@ -19,12 +19,18 @@
 //! The seed's full-netlist path survives as [`FaultSim::detected_naive`] /
 //! [`FaultSim::accumulate_naive`], the oracle the property tests pin the
 //! cone engine against.
+//!
+//! The engine counts its work into the thread's installed
+//! [`socet_obs`] recorder: blocks simulated, cone gates re-evaluated
+//! against the full-netlist equivalent, unobservable faults skipped and
+//! worker shards spawned. Per-fault work is summed locally and recorded
+//! once per block (or per shard), so the fault loop never touches the
+//! thread-local sink.
 
 use crate::fault::Fault;
-use crate::metrics::AtpgMetrics;
 use socet_gate::sim::eval;
 use socet_gate::{GateKind, GateNetlist, PackedSim, SignalId};
-use socet_obs::names;
+use socet_obs::{names, Counter};
 
 /// Minimum live faults in a block before the engine fans out over threads;
 /// below this the spawn cost outweighs the work.
@@ -86,6 +92,20 @@ impl ConeScratch {
     }
 }
 
+/// Cone work summed over a block's (or a shard's) faults.
+#[derive(Debug, Default)]
+struct ConeWork {
+    gate_evals: u64,
+    unobservable: u64,
+}
+
+impl ConeWork {
+    fn record(&self) {
+        socet_obs::add(Counter::ConeGateEvals, self.gate_evals);
+        socet_obs::add(Counter::FaultsSkippedUnobservable, self.unobservable);
+    }
+}
+
 /// Combinational fault simulator: packs up to 64 test patterns per word and
 /// resimulates each live fault's fanout cone against the block.
 ///
@@ -132,7 +152,6 @@ pub struct FaultSim<'a> {
     ff_buf: Vec<u64>,
     good: Vec<u64>,
     scratch: ConeScratch,
-    metrics: AtpgMetrics,
 }
 
 impl<'a> FaultSim<'a> {
@@ -153,7 +172,6 @@ impl<'a> FaultSim<'a> {
             ff_buf: Vec::new(),
             good: Vec::new(),
             scratch: ConeScratch::new(n),
-            metrics: AtpgMetrics::new(),
             nl,
         }
     }
@@ -169,17 +187,6 @@ impl<'a> FaultSim<'a> {
     /// Width of a pattern: real inputs plus flip-flop pseudo-inputs.
     pub fn pattern_width(&self) -> usize {
         self.n_pi + self.n_ff
-    }
-
-    /// Counters accumulated since construction (or the last
-    /// [`FaultSim::take_metrics`]).
-    pub fn metrics(&self) -> &AtpgMetrics {
-        &self.metrics
-    }
-
-    /// Returns and resets the accumulated counters.
-    pub fn take_metrics(&mut self) -> AtpgMetrics {
-        std::mem::take(&mut self.metrics)
     }
 
     /// Simulates `patterns` against `faults`; `result[i]` tells whether
@@ -255,7 +262,7 @@ impl<'a> FaultSim<'a> {
         self.pack(block);
         self.sim
             .eval_into(&self.pi_buf, &self.ff_buf, None, &mut self.good);
-        self.metrics.blocks_simulated += 1;
+        socet_obs::add(Counter::BlocksSimulated, 1);
         let used: u64 = if block.len() == 64 {
             u64::MAX
         } else {
@@ -268,7 +275,10 @@ impl<'a> FaultSim<'a> {
         if live.is_empty() {
             return;
         }
-        self.metrics.full_gate_evals_equiv += live.len() as u64 * self.comb_gates;
+        socet_obs::add(
+            Counter::FullGateEvalsEquiv,
+            live.len() as u64 * self.comb_gates,
+        );
 
         let nl = self.nl;
         let cones = &self.cones;
@@ -278,8 +288,7 @@ impl<'a> FaultSim<'a> {
             .min(live.len().div_ceil(MIN_PARALLEL_FAULTS / 2));
         if workers > 1 && live.len() >= MIN_PARALLEL_FAULTS {
             let chunk = live.len().div_ceil(workers);
-            type Shard = (Vec<(u32, u64)>, AtpgMetrics, socet_obs::Recorder);
-            let shards: Vec<Shard> = std::thread::scope(|s| {
+            let shards: Vec<(Vec<(u32, u64)>, socet_obs::Recorder)> = std::thread::scope(|s| {
                 let handles: Vec<_> = live
                     .chunks(chunk)
                     .map(|part| {
@@ -288,12 +297,13 @@ impl<'a> FaultSim<'a> {
                         // — and free — when nothing is installed).
                         let mut rec = socet_obs::fork_local();
                         s.spawn(move || {
-                            let mut m = AtpgMetrics::new();
                             let out: Vec<(u32, u64)> = {
                                 let _sink = rec.install();
                                 let _span = socet_obs::span(names::FSIM_SHARD);
                                 let mut scratch = ConeScratch::new(nl.gates().len());
-                                part.iter()
+                                let mut work = ConeWork::default();
+                                let out = part
+                                    .iter()
                                     .map(|&fi| {
                                         let mask = fault_mask(
                                             nl,
@@ -302,13 +312,15 @@ impl<'a> FaultSim<'a> {
                                             &mut scratch,
                                             faults[fi as usize],
                                             used,
-                                            &mut m,
+                                            &mut work,
                                         );
                                         (fi, mask)
                                     })
-                                    .collect()
+                                    .collect();
+                                work.record();
+                                out
                             };
-                            (out, m, rec)
+                            (out, rec)
                         })
                     })
                     .collect();
@@ -319,24 +331,28 @@ impl<'a> FaultSim<'a> {
             });
             // Deterministic merge: shards are disjoint index sets, walked
             // in spawn order; shard recorders fold into the caller's sink
-            // in the same order. Counters stay in `AtpgMetrics` (published
-            // once per run by the driver) so the trace never double-counts.
-            let count = shards.len() as u64;
-            for (out, m, rec) in shards {
+            // in the same order.
+            socet_obs::add(Counter::ParallelShards, shards.len() as u64);
+            for (out, rec) in shards {
                 for &(fi, mask) in &out {
                     masks[fi as usize] = mask;
                 }
-                self.metrics.merge(&m);
                 socet_obs::adopt([rec]);
             }
-            self.metrics.parallel_shards += count;
         } else {
-            let scratch = &mut self.scratch;
-            let metrics = &mut self.metrics;
+            let mut work = ConeWork::default();
             for &fi in &live {
-                masks[fi as usize] =
-                    fault_mask(nl, cones, good, scratch, faults[fi as usize], used, metrics);
+                masks[fi as usize] = fault_mask(
+                    nl,
+                    cones,
+                    good,
+                    &mut self.scratch,
+                    faults[fi as usize],
+                    used,
+                    &mut work,
+                );
             }
+            work.record();
         }
     }
 
@@ -436,11 +452,11 @@ fn fault_mask(
     scratch: &mut ConeScratch,
     fault: Fault,
     used: u64,
-    metrics: &mut AtpgMetrics,
+    work: &mut ConeWork,
 ) -> u64 {
     let cone = &cones[fault.signal.index()];
     if cone.observable.is_empty() {
-        metrics.faults_skipped_unobservable += 1;
+        work.unobservable += 1;
         return 0;
     }
     scratch.begin();
@@ -453,7 +469,7 @@ fn fault_mask(
         let val = eval(gate.kind, x(0), x(1), x(2));
         scratch.set(g, val);
     }
-    metrics.cone_gate_evals += cone.gates.len() as u64;
+    work.gate_evals += cone.gates.len() as u64;
     let mut diff = 0u64;
     for &s in &cone.observable {
         diff |= (good[s.index()] ^ scratch.get(good, s)) & used;
@@ -520,6 +536,7 @@ mod tests {
     use super::*;
     use crate::fault::fault_list;
     use socet_gate::{GateKind, GateNetlistBuilder, SignalId};
+    use socet_obs::Recorder;
 
     #[test]
     fn no_patterns_detect_nothing() {
@@ -704,27 +721,70 @@ mod tests {
         let nl = b.build().unwrap();
         let mut sim = FaultSim::new(&nl);
         let faults = [Fault::sa0(dead), Fault::sa1(dead)];
-        let det = sim.detected(&faults, &[vec![true, true], vec![false, false]]);
+        let mut rec = Recorder::new();
+        let det = {
+            let _sink = rec.install();
+            sim.detected(&faults, &[vec![true, true], vec![false, false]])
+        };
         assert!(det.iter().all(|&d| !d));
-        assert!(sim.metrics().faults_skipped_unobservable >= 2);
-        assert_eq!(sim.metrics().cone_gate_evals, 0);
+        assert!(rec.counter(Counter::FaultsSkippedUnobservable) >= 2);
+        assert_eq!(rec.counter(Counter::ConeGateEvals), 0);
     }
 
     #[test]
-    fn metrics_report_pruning_win() {
+    fn counters_report_pruning_win() {
         let nl = adder4();
         let faults = fault_list(&nl);
         let patterns = lcg_patterns(8, 64, 0x7777);
         let mut sim = FaultSim::new(&nl);
-        sim.detected(&faults, &patterns);
-        let m = sim.take_metrics();
-        assert!(m.blocks_simulated >= 1);
-        assert!(m.cone_gate_evals > 0);
+        let mut rec = Recorder::new();
+        let recorded = {
+            let _sink = rec.install();
+            sim.detected(&faults, &patterns)
+        };
+        assert!(rec.counter(Counter::BlocksSimulated) >= 1);
+        let cone = rec.counter(Counter::ConeGateEvals);
+        let full = rec.counter(Counter::FullGateEvalsEquiv);
+        assert!(cone > 0);
         assert!(
-            m.cone_gate_evals < m.full_gate_evals_equiv,
-            "cones must beat full-netlist work: {m}"
+            cone < full,
+            "cones must beat full-netlist work: {cone} vs {full}"
         );
-        // take_metrics resets.
-        assert_eq!(sim.metrics().blocks_simulated, 0);
+        // Nothing installed: the same run records nowhere and still works.
+        assert_eq!(sim.detected(&faults, &patterns), recorded);
+    }
+
+    #[test]
+    fn serial_and_parallel_runs_count_alike() {
+        // Enough faults (replicated) to cross the fan-out threshold.
+        let nl = adder4();
+        let faults: Vec<Fault> = fault_list(&nl).repeat(8);
+        assert!(faults.len() >= MIN_PARALLEL_FAULTS);
+        let patterns = lcg_patterns(8, 70, 0x5eed);
+        let count = |workers: usize| {
+            let mut rec = Recorder::new();
+            {
+                let _sink = rec.install();
+                FaultSim::new(&nl)
+                    .with_workers(workers)
+                    .detected(&faults, &patterns);
+            }
+            rec
+        };
+        let (serial, parallel) = (count(1), count(4));
+        for c in [
+            Counter::BlocksSimulated,
+            Counter::ConeGateEvals,
+            Counter::FullGateEvalsEquiv,
+            Counter::FaultsSkippedUnobservable,
+        ] {
+            assert_eq!(serial.counter(c), parallel.counter(c), "{c:?}");
+        }
+        assert_eq!(serial.counter(Counter::ParallelShards), 0);
+        assert!(parallel.counter(Counter::ParallelShards) > 1);
+        assert_eq!(
+            parallel.span_count(names::FSIM_SHARD),
+            parallel.counter(Counter::ParallelShards)
+        );
     }
 }

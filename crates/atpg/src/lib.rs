@@ -15,8 +15,9 @@
 //!   implication, D-frontier objectives, X-path pruning and a backtrack
 //!   bound;
 //! * [`FaultSim`] — pattern-parallel combinational fault simulation with
-//!   fanout-cone pruning and fault-parallel threading, instrumented by
-//!   [`AtpgMetrics`];
+//!   fanout-cone pruning and fault-parallel threading, counting its work
+//!   into the installed `socet_obs` recorder ([`AtpgMetrics`] is the typed
+//!   view);
 //! * [`SeqFaultSim`] — fault-parallel (64 faults per word) three-valued
 //!   sequential fault simulation, used for the "Orig." rows of Table 3;
 //! * [`generate_tests`] — the ATPG driver: random-pattern phase, PODEM

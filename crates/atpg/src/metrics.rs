@@ -1,21 +1,21 @@
-//! Observability for the fault-simulation engine and the ATPG driver.
+//! The ATPG slice of a recorder's counters.
 //!
 //! The cone-pruned fault simulator's wins are invisible from its results —
 //! detection maps are bit-identical to the naive path by construction — so
-//! every engine counts its work here: how many cone gates were actually
+//! [`FaultSim`](crate::FaultSim) and
+//! [`generate_tests`](crate::generate_tests) count their work into the
+//! installed [`socet_obs`] recorder: how many cone gates were actually
 //! re-evaluated versus the full-netlist equivalent the seed's simulator
 //! would have paid, how many faults were skipped outright because their
-//! cone reaches no observable point, and how the ATPG driver's phases
-//! dropped faults. `soctool atpg --stats` and `table3_testability` fold
-//! these counters into `socet-core`'s `Metrics` for display.
+//! cone reaches no observable point, and how the random and PODEM phases
+//! dropped faults. [`AtpgMetrics`] is a typed view of those counters, used as the
+//! per-run snapshot [`TestSet::stats`](crate::TestSet::stats).
 
 use socet_obs::{Counter, Recorder};
-use std::fmt;
 
-/// Counters accumulated by [`FaultSim`](crate::FaultSim),
-/// [`SeqFaultSim`](crate::SeqFaultSim) and the
-/// [`generate_tests`](crate::generate_tests) /
-/// [`compact_tests`](crate::compact_tests) drivers.
+/// The ATPG counters of one recorder ([`AtpgMetrics::from_recorder`]):
+/// what [`FaultSim`](crate::FaultSim) and
+/// [`generate_tests`](crate::generate_tests) recorded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AtpgMetrics {
     /// 64-pattern blocks simulated (one good-machine evaluation each).
@@ -49,8 +49,7 @@ impl AtpgMetrics {
         AtpgMetrics::default()
     }
 
-    /// Folds `other` into `self` — used to aggregate per-worker and
-    /// per-core counters.
+    /// Folds `other` into `self` — used to aggregate per-core snapshots.
     pub fn merge(&mut self, other: &AtpgMetrics) {
         self.blocks_simulated += other.blocks_simulated;
         self.cone_gate_evals += other.cone_gate_evals;
@@ -62,8 +61,7 @@ impl AtpgMetrics {
         self.parallel_shards += other.parallel_shards;
     }
 
-    /// The view of one recorder's ATPG counters — the derivation the
-    /// unified observability layer replaces ad-hoc merging with.
+    /// The view of one recorder's ATPG counters.
     pub fn from_recorder(rec: &Recorder) -> Self {
         AtpgMetrics {
             blocks_simulated: rec.counter(Counter::BlocksSimulated),
@@ -75,74 +73,6 @@ impl AtpgMetrics {
             fill_mask_events: rec.counter(Counter::FillMaskEvents),
             parallel_shards: rec.counter(Counter::ParallelShards),
         }
-    }
-
-    /// Charges these counters into `rec` (the inverse of
-    /// [`AtpgMetrics::from_recorder`]).
-    pub fn record_into(&self, rec: &mut Recorder) {
-        rec.record(Counter::BlocksSimulated, self.blocks_simulated);
-        rec.record(Counter::ConeGateEvals, self.cone_gate_evals);
-        rec.record(Counter::FullGateEvalsEquiv, self.full_gate_evals_equiv);
-        rec.record(
-            Counter::FaultsSkippedUnobservable,
-            self.faults_skipped_unobservable,
-        );
-        rec.record(Counter::FaultsDroppedRandom, self.faults_dropped_random);
-        rec.record(Counter::FaultsDroppedPodem, self.faults_dropped_podem);
-        rec.record(Counter::FillMaskEvents, self.fill_mask_events);
-        rec.record(Counter::ParallelShards, self.parallel_shards);
-    }
-
-    /// Charges these counters into the thread's installed
-    /// [`socet_obs`] recorder, if any.
-    pub fn publish(&self) {
-        socet_obs::add(Counter::BlocksSimulated, self.blocks_simulated);
-        socet_obs::add(Counter::ConeGateEvals, self.cone_gate_evals);
-        socet_obs::add(Counter::FullGateEvalsEquiv, self.full_gate_evals_equiv);
-        socet_obs::add(
-            Counter::FaultsSkippedUnobservable,
-            self.faults_skipped_unobservable,
-        );
-        socet_obs::add(Counter::FaultsDroppedRandom, self.faults_dropped_random);
-        socet_obs::add(Counter::FaultsDroppedPodem, self.faults_dropped_podem);
-        socet_obs::add(Counter::FillMaskEvents, self.fill_mask_events);
-        socet_obs::add(Counter::ParallelShards, self.parallel_shards);
-    }
-
-    /// Fraction of the full-netlist work the cone engine actually did, in
-    /// percent (100 means no pruning happened).
-    pub fn cone_eval_share(&self) -> f64 {
-        if self.full_gate_evals_equiv == 0 {
-            100.0
-        } else {
-            self.cone_gate_evals as f64 / self.full_gate_evals_equiv as f64 * 100.0
-        }
-    }
-}
-
-impl fmt::Display for AtpgMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "atpg engine stats:")?;
-        writeln!(f, "  pattern blocks         : {}", self.blocks_simulated)?;
-        writeln!(
-            f,
-            "  cone gate evals        : {} ({:.1}% of the {} full-netlist equivalent)",
-            self.cone_gate_evals,
-            self.cone_eval_share(),
-            self.full_gate_evals_equiv
-        )?;
-        writeln!(
-            f,
-            "  unobservable skips     : {}",
-            self.faults_skipped_unobservable
-        )?;
-        writeln!(
-            f,
-            "  faults dropped         : {} random phase, {} podem phase",
-            self.faults_dropped_random, self.faults_dropped_podem
-        )?;
-        writeln!(f, "  fill-mask events       : {}", self.fill_mask_events)?;
-        write!(f, "  parallel shards        : {}", self.parallel_shards)
     }
 }
 
@@ -175,52 +105,36 @@ mod tests {
     }
 
     #[test]
-    fn recorder_round_trip_preserves_every_counter() {
-        let m = AtpgMetrics {
-            blocks_simulated: 1,
-            cone_gate_evals: 2,
-            full_gate_evals_equiv: 3,
-            faults_skipped_unobservable: 4,
-            faults_dropped_random: 5,
-            faults_dropped_podem: 6,
-            fill_mask_events: 7,
-            parallel_shards: 8,
-        };
+    fn view_reads_every_counter() {
         let mut rec = Recorder::new();
-        m.record_into(&mut rec);
-        assert_eq!(AtpgMetrics::from_recorder(&rec), m);
-        // publish() reaches the installed thread-local sink.
-        let mut tls = Recorder::new();
+        for (i, c) in [
+            Counter::BlocksSimulated,
+            Counter::ConeGateEvals,
+            Counter::FullGateEvalsEquiv,
+            Counter::FaultsSkippedUnobservable,
+            Counter::FaultsDroppedRandom,
+            Counter::FaultsDroppedPodem,
+            Counter::FillMaskEvents,
+            Counter::ParallelShards,
+        ]
+        .into_iter()
+        .enumerate()
         {
-            let _g = tls.install();
-            m.publish();
+            rec.record(c, i as u64 + 1);
         }
-        assert_eq!(AtpgMetrics::from_recorder(&tls), m);
-    }
-
-    #[test]
-    fn cone_share_handles_zero_work() {
-        assert_eq!(AtpgMetrics::new().cone_eval_share(), 100.0);
-        let m = AtpgMetrics {
-            cone_gate_evals: 25,
-            full_gate_evals_equiv: 100,
-            ..AtpgMetrics::new()
-        };
-        assert!((m.cone_eval_share() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn display_names_every_counter() {
-        let s = AtpgMetrics::new().to_string();
-        for needle in [
-            "pattern blocks",
-            "cone gate evals",
-            "unobservable",
-            "faults dropped",
-            "fill-mask",
-            "parallel shards",
-        ] {
-            assert!(s.contains(needle), "missing {needle} in {s}");
-        }
+        let m = AtpgMetrics::from_recorder(&rec);
+        assert_eq!(
+            m,
+            AtpgMetrics {
+                blocks_simulated: 1,
+                cone_gate_evals: 2,
+                full_gate_evals_equiv: 3,
+                faults_skipped_unobservable: 4,
+                faults_dropped_random: 5,
+                faults_dropped_podem: 6,
+                fill_mask_events: 7,
+                parallel_shards: 8,
+            }
+        );
     }
 }

@@ -6,7 +6,7 @@ use crate::fsim::FaultSim;
 use crate::metrics::AtpgMetrics;
 use crate::podem::{Podem, PodemOutcome};
 use socet_gate::{GateNetlist, Tri};
-use socet_obs::names;
+use socet_obs::{names, Counter, Recorder};
 
 /// Configuration of a [`generate_tests`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,11 @@ pub struct TestSet {
     pub patterns: Vec<Vec<bool>>,
     /// The fault accounting of the run.
     pub coverage: Coverage,
-    /// Engine counters of the run (cone pruning, fault dropping, …).
+    /// Engine counters of the generating [`generate_tests`] run (cone
+    /// pruning, fault dropping, …): a snapshot of what that run recorded,
+    /// kept with the set so a cached artifact still accounts for it.
+    /// Later work on the set ([`compact_tests`](crate::compact_tests))
+    /// records into the installed recorder and leaves it unchanged.
     pub stats: AtpgMetrics,
 }
 
@@ -61,6 +65,11 @@ impl TestSet {
 /// 3. classify leftovers as untestable (PODEM exhausted) or aborted
 ///    (backtrack limit).
 ///
+/// The run records into a recorder of its own, whose counters become
+/// [`TestSet::stats`]; that recorder is then folded into the thread's
+/// installed sink (if any) under the `atpg` span, so the caller's trace
+/// and the returned snapshot always agree.
+///
 /// # Examples
 ///
 /// ```
@@ -80,13 +89,28 @@ impl TestSet {
 /// ```
 pub fn generate_tests(nl: &GateNetlist, config: &TpgConfig) -> TestSet {
     let _run = socet_obs::span(names::ATPG);
+    let mut rec = Recorder::new();
+    let (patterns, coverage) = {
+        let _sink = rec.install();
+        run(nl, config)
+    };
+    let stats = AtpgMetrics::from_recorder(&rec);
+    socet_obs::adopt([rec]);
+    TestSet {
+        patterns,
+        coverage,
+        stats,
+    }
+}
+
+/// The body of [`generate_tests`], recording into the installed sink.
+fn run(nl: &GateNetlist, config: &TpgConfig) -> (Vec<Vec<bool>>, Coverage) {
     let faults = fault_list(nl);
     let mut sim = FaultSim::new(nl);
     let width = sim.pattern_width();
     let mut rng = XorShift64::new(config.seed);
     let mut detected = vec![false; faults.len()];
     let mut patterns: Vec<Vec<bool>> = Vec::new();
-    let mut fill_mask_events = 0u64;
 
     // Phase 1: random patterns (kept only if they detect something new).
     {
@@ -156,7 +180,7 @@ pub fn generate_tests(nl: &GateNetlist, config: &TpgConfig) -> TestSet {
                     faults[fi]
                 );
                 if !detected[fi] {
-                    fill_mask_events += 1;
+                    socet_obs::add(Counter::FillMaskEvents, 1);
                 }
             }
             PodemOutcome::Untestable => untestable += 1,
@@ -171,18 +195,12 @@ pub fn generate_tests(nl: &GateNetlist, config: &TpgConfig) -> TestSet {
         untestable,
         aborted,
     };
-    let mut stats = sim.take_metrics();
-    stats.faults_dropped_random = dropped_random as u64;
-    stats.faults_dropped_podem = (coverage.detected - dropped_random) as u64;
-    stats.fill_mask_events = fill_mask_events;
-    // One publication per run keeps the installed recorder's counters in
-    // lock-step with `stats` (shard workers above carry spans only).
-    stats.publish();
-    TestSet {
-        patterns,
-        coverage,
-        stats,
-    }
+    socet_obs::add(Counter::FaultsDroppedRandom, dropped_random as u64);
+    socet_obs::add(
+        Counter::FaultsDroppedPodem,
+        (coverage.detected - dropped_random) as u64,
+    );
+    (patterns, coverage)
 }
 
 /// Deterministic random vectors for sequential fault simulation (the
@@ -356,6 +374,33 @@ mod tests {
         assert_eq!(
             tests.stats.faults_dropped_random + tests.stats.faults_dropped_podem,
             tests.coverage.detected as u64
+        );
+    }
+
+    #[test]
+    fn stats_snapshot_equals_the_callers_trace() {
+        let nl = adder4();
+        let mut rec = Recorder::new();
+        let root = rec.begin("caller");
+        let tests = {
+            let _sink = rec.install();
+            socet_obs::add(Counter::BlocksSimulated, 100); // earlier work
+            generate_tests(&nl, &TpgConfig::default())
+        };
+        rec.end(root);
+        let mut trace = AtpgMetrics::from_recorder(&rec);
+        trace.blocks_simulated -= 100;
+        assert_eq!(trace, tests.stats);
+        // The run's phases nest under its `atpg` span in the caller's tree.
+        let spans = rec.spans();
+        let atpg = spans.iter().position(|s| s.name == names::ATPG).unwrap();
+        for s in spans.iter().filter(|s| s.name == names::ATPG_PODEM) {
+            assert_eq!(s.parent, Some(atpg as u32));
+        }
+        // Without a caller recorder the snapshot is the same.
+        assert_eq!(
+            generate_tests(&nl, &TpgConfig::default()).stats,
+            tests.stats
         );
     }
 

@@ -96,5 +96,5 @@ fn main() {
         }
     );
 
-    println!("\n{}", explorer.metrics());
+    print!("\n{}", explorer.take_recorder().to_table());
 }

@@ -10,6 +10,7 @@
 //! | System 2 | 11.2    | 13.8     | 98.2  | 46,394  | 98.2     | 16,435 / 3,998                    |
 
 use socet::flow::{prepare_soc_with, PrepareOptions};
+use socet::obs::SharedRecorder;
 use socet_atpg::TpgConfig;
 use socet_baselines::{flatten_soc, hscan_only_coverage, orig_coverage, FscanBscanReport};
 use socet_bench::compare_row;
@@ -32,7 +33,9 @@ const SEED: u64 = 0xdac1998;
 
 fn run(soc: Soc, paper: &PaperRow) {
     let costs = DftCosts::default();
-    let (system, _) = prepare_soc_with(&soc, &costs, &TpgConfig::default(), &PrepareOptions::new())
+    let rec = SharedRecorder::new();
+    let opts = PrepareOptions::new().recorder(rec.clone());
+    let (system, _) = prepare_soc_with(&soc, &costs, &TpgConfig::default(), &opts)
         .expect("paper systems prepare");
     let lib = CellLibrary::generic_08um();
     let flat = flatten_soc(&soc).expect("example systems flatten");
@@ -121,9 +124,9 @@ fn run(soc: Soc, paper: &PaperRow) {
             "VIOLATED"
         }
     );
-    // The ATPG work behind the scan-based rows, rendered like
-    // `soctool atpg --stats`.
-    println!("{}", indent(&system.atpg_stats().to_string()));
+    // The preparation and ATPG work behind the scan-based rows, rendered
+    // like `soctool atpg --stats`.
+    println!("{}", indent(&rec.take().to_table()));
 }
 
 fn indent(s: &str) -> String {

@@ -14,7 +14,6 @@
 //! the output order stays deterministic.
 
 use crate::error::ScheduleError;
-use crate::metrics::Metrics;
 use crate::plan::{CoreTestData, DesignPoint};
 use crate::schedule::Scheduler;
 use socet_cells::{CellLibrary, DftCosts};
@@ -114,13 +113,6 @@ impl<'a> Explorer<'a> {
     /// Folds one engine's recorded events into the explorer-wide recorder.
     fn absorb(&self, rec: Recorder) {
         self.rec.lock().expect("recorder lock").merge_child(rec);
-    }
-
-    /// Engine counters aggregated over every evaluation this explorer has
-    /// run (including all sweep workers), as the [`Metrics`] view over the
-    /// explorer-wide recorder.
-    pub fn metrics(&self) -> Metrics {
-        Metrics::from_recorder(&self.rec.lock().expect("recorder lock"))
     }
 
     /// The explorer-wide recorder — spans and counters of every evaluation
@@ -452,6 +444,7 @@ struct Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
 
@@ -545,12 +538,12 @@ mod tests {
         let (soc, data) = three_core_soc();
         let ex = Explorer::new(&soc, &data, DftCosts::default());
         ex.sweep();
-        let m = ex.metrics();
+        let m = Metrics::from_recorder(&ex.take_recorder());
         assert_eq!(m.evaluations, 27);
         // On one engine, 26 of the 27 points patch incrementally; with
         // more workers each chunk pays one full build.
         assert!(m.ccg_full_builds >= 1);
-        assert!(m.ccg_full_builds + m.ccg_incremental_patches >= 27, "{m}");
+        assert!(m.ccg_full_builds + m.ccg_incremental_patches >= 27, "{m:?}");
         assert!(m.route_attempts > 0);
     }
 

@@ -1,26 +1,24 @@
-//! Observability for the evaluation engine.
+//! Typed views over a recorder's counters and spans.
 //!
 //! Design-space exploration spends its time in three places — building (or
 //! patching) the CCG, reservation-aware routing, and plan assembly — and
 //! the interesting efficiency questions ("how many Dijkstra relaxations per
 //! point?", "how often does routing fall back to a system mux?", "how much
 //! of the graph did incremental patching actually rebuild?") are invisible
-//! from the outside. [`Metrics`] is a plain counter struct every stage
-//! increments; the [`Scheduler`](crate::schedule::Scheduler) owns one, the
-//! [`Explorer`](crate::explore::Explorer) aggregates across evaluations,
-//! and `soctool report --stats` / `fig10_design_space` print it.
+//! from the outside. Every stage records typed counters and spans into a
+//! [`Recorder`](socet_obs::Recorder) (`socet_obs`, re-exported as
+//! [`crate::obs`]); the [`Scheduler`](crate::schedule::Scheduler) owns one,
+//! the [`Explorer`](crate::explore::Explorer) folds every engine's into its
+//! own, and `--stats` prints the recorder's counter table
+//! ([`Recorder::to_table`](socet_obs::Recorder::to_table)).
 //!
-//! Since the unified observability layer (`socet_obs`, re-exported as
-//! [`crate::obs`]), these structs are **views**: every stage records typed
-//! counters and spans into a [`Recorder`](socet_obs::Recorder), and
-//! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] /
-//! [`AtpgMetrics::from_recorder`] derive the familiar shapes from the one
-//! event stream. [`Metrics::merge`] folds whole views together, for
-//! callers that keep one view per run.
+//! [`Metrics`] / [`PrepareMetrics`] / [`AtpgMetrics`] are typed views
+//! derived from one recorder with `from_recorder`, for code that reads a
+//! field rather than printing; [`Metrics::merge`] folds whole views
+//! together, for callers that keep one view per run.
 
 use socet_atpg::AtpgMetrics;
 use socet_obs::{names, Counter, Recorder};
-use std::fmt;
 use std::time::Duration;
 
 /// Counters and stage wall-times of one core-preparation pipeline run
@@ -34,7 +32,8 @@ use std::time::Duration;
 /// speedup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrepareMetrics {
-    /// Core instances in the SOC (memory cores included).
+    /// Logic core instances in the SOC (memory cores are not prepared and
+    /// not counted).
     pub instances: u64,
     /// Distinct logic cores prepared (the memo collapses repeats).
     pub unique_cores: u64,
@@ -106,37 +105,6 @@ impl PrepareMetrics {
         self.atpg_time += other.atpg_time;
         self.io_time += other.io_time;
         self.total_time += other.total_time;
-    }
-}
-
-impl fmt::Display for PrepareMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "prepare pipeline stats:")?;
-        writeln!(
-            f,
-            "  instances              : {} ({} unique cores, {} workers)",
-            self.instances, self.unique_cores, self.workers
-        )?;
-        writeln!(f, "  memo hits              : {}", self.memo_hits)?;
-        writeln!(
-            f,
-            "  artifact cache         : {} disk hits, {} disk misses, {} disk writes",
-            self.disk_hits, self.disk_misses, self.disk_writes
-        )?;
-        writeln!(
-            f,
-            "  stage times            : hscan {}, versions {}, elaborate {}, atpg {}, io {}",
-            fmt_time(self.hscan_time),
-            fmt_time(self.versions_time),
-            fmt_time(self.elaborate_time),
-            fmt_time(self.atpg_time),
-            fmt_time(self.io_time)
-        )?;
-        write!(
-            f,
-            "  total wall time        : {}",
-            fmt_time(self.total_time)
-        )
     }
 }
 
@@ -222,56 +190,6 @@ impl Metrics {
     }
 }
 
-fn fmt_time(d: Duration) -> String {
-    let us = d.as_micros();
-    if us < 1_000 {
-        format!("{us} µs")
-    } else if us < 1_000_000 {
-        format!("{:.2} ms", us as f64 / 1e3)
-    } else {
-        format!("{:.3} s", us as f64 / 1e6)
-    }
-}
-
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "evaluation engine stats:")?;
-        writeln!(f, "  evaluations            : {}", self.evaluations)?;
-        writeln!(
-            f,
-            "  ccg builds             : {} full, {} incremental patches",
-            self.ccg_full_builds, self.ccg_incremental_patches
-        )?;
-        writeln!(f, "  ccg edges rebuilt      : {}", self.ccg_edges_rebuilt)?;
-        writeln!(f, "  route attempts         : {}", self.route_attempts)?;
-        writeln!(f, "  route cache hits       : {}", self.route_cache_hits)?;
-        writeln!(
-            f,
-            "  dijkstra relaxations   : {}",
-            self.dijkstra_relaxations
-        )?;
-        writeln!(
-            f,
-            "  system-mux fallbacks   : {}",
-            self.system_mux_fallbacks
-        )?;
-        write!(
-            f,
-            "  stage times            : build {}, route {}, assemble {}",
-            fmt_time(self.build_time),
-            fmt_time(self.route_time),
-            fmt_time(self.assemble_time)
-        )?;
-        if self.atpg != AtpgMetrics::default() {
-            write!(f, "\n{}", self.atpg)?;
-        }
-        if self.prepare != PrepareMetrics::default() {
-            write!(f, "\n{}", self.prepare)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,60 +266,5 @@ mod tests {
             m.prepare,
             "both views read the same slots"
         );
-    }
-
-    #[test]
-    fn display_names_every_counter() {
-        let m = Metrics::new();
-        let s = m.to_string();
-        for needle in [
-            "evaluations",
-            "ccg builds",
-            "relaxations",
-            "system-mux",
-            "stage times",
-        ] {
-            assert!(s.contains(needle), "missing {needle} in {s}");
-        }
-    }
-
-    #[test]
-    fn prepare_metrics_render() {
-        let m = PrepareMetrics {
-            instances: 8,
-            unique_cores: 4,
-            memo_hits: 4,
-            disk_hits: 2,
-            disk_misses: 2,
-            disk_writes: 2,
-            workers: 8,
-            hscan_time: Duration::from_micros(2),
-            versions_time: Duration::from_micros(4),
-            elaborate_time: Duration::from_micros(6),
-            atpg_time: Duration::from_micros(8),
-            io_time: Duration::from_micros(10),
-            total_time: Duration::from_micros(12),
-        };
-        let s = m.to_string();
-        assert!(s.contains("8 (4 unique cores, 8 workers)"), "{s}");
-        // The CI cache-smoke step greps for "<n> disk hits" with n > 0.
-        assert!(s.contains("2 disk hits"), "{s}");
-        assert!(s.contains("total wall time        : 12 µs"), "{s}");
-    }
-
-    #[test]
-    fn prepare_block_renders_only_when_nonzero() {
-        assert!(!Metrics::new()
-            .to_string()
-            .contains("prepare pipeline stats"));
-        let m = Metrics {
-            prepare: PrepareMetrics {
-                instances: 3,
-                ..PrepareMetrics::default()
-            },
-            ..Metrics::default()
-        };
-        assert!(m.to_string().contains("prepare pipeline stats"));
-        assert!(m.to_string().contains("0 disk hits"));
     }
 }

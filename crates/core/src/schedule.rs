@@ -20,7 +20,6 @@
 
 use crate::ccg::{Ccg, CcgEdgeKind, CcgNode, Resource};
 use crate::error::ScheduleError;
-use crate::metrics::Metrics;
 use crate::plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 use socet_cells::{AreaReport, CellKind, DftCosts};
 use socet_obs::{names, Counter, Recorder};
@@ -313,8 +312,8 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// router's scratch buffers. Evaluating a neighbouring choice — the common
 /// case in the §5.2 loop and in a lexicographic sweep — patches only the
 /// stepped cores' edge groups and reuses every allocation. All failure
-/// modes are typed ([`ScheduleError`]); [`Metrics`] counts what each stage
-/// did.
+/// modes are typed ([`ScheduleError`]); the engine's recorder
+/// ([`Scheduler::take_recorder`]) counts what each stage did.
 ///
 /// # Examples
 ///
@@ -322,6 +321,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
 /// # use socet_cells::DftCosts;
 /// # use socet_core::{plan_inputs, Scheduler};
+/// # use socet_core::obs::Counter;
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
 /// # let i = b.port("i", Direction::In, 8).unwrap();
@@ -343,8 +343,9 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// let slow = scheduler.evaluate(&[0])?;
 /// let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
 /// assert!(fast.test_application_time() <= slow.test_application_time());
-/// assert_eq!(scheduler.metrics().evaluations, 2);
-/// assert_eq!(scheduler.metrics().ccg_incremental_patches, 1);
+/// let rec = scheduler.take_recorder();
+/// assert_eq!(rec.counter(Counter::Evaluations), 2);
+/// assert_eq!(rec.counter(Counter::CcgIncrementalPatches), 1);
 /// # Ok::<(), socet_core::ScheduleError>(())
 /// ```
 #[derive(Debug)]
@@ -386,13 +387,6 @@ impl<'a> Scheduler<'a> {
         self.choice.clear();
         self.route_cache.clear();
         self
-    }
-
-    /// The accumulated counters since construction (or the last
-    /// [`Scheduler::take_recorder`]), as the familiar [`Metrics`] view over
-    /// the engine's recorder.
-    pub fn metrics(&self) -> Metrics {
-        Metrics::from_recorder(&self.rec)
     }
 
     /// The engine's recorder, for trace export or folding into a parent
@@ -783,6 +777,7 @@ fn push_mux(muxes: &mut Vec<SystemMux>, m: SystemMux) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
 
@@ -1037,11 +1032,11 @@ mod tests {
             let fresh = schedule(&soc, &data, &choice, &costs);
             assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "at {choice:?}");
         }
-        let m = sched.metrics();
+        let m = Metrics::from_recorder(&sched.take_recorder());
         assert_eq!(m.evaluations, 5);
         assert_eq!(m.ccg_full_builds, 1);
         // Four follow-up evaluations, each stepping one or two cores.
-        assert!(m.ccg_incremental_patches >= 4, "{m}");
+        assert!(m.ccg_incremental_patches >= 4, "{m:?}");
         assert!(m.route_attempts > 0);
         assert!(m.dijkstra_relaxations > 0);
     }

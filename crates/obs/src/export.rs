@@ -1,8 +1,9 @@
-//! Trace exporters: a machine-readable JSON trace and a collapsed-stack
-//! ("folded") profile for flamegraph tooling.
+//! Trace exporters: a machine-readable JSON trace, a collapsed-stack
+//! ("folded") profile for flamegraph tooling, and the human-readable
+//! counter table.
 //!
-//! Both formats are hand-rolled — this crate takes no dependencies — and
-//! only ever emit integers, `null`, and span names drawn from
+//! All three are hand-rolled — this crate takes no dependencies — and
+//! only ever emit numbers, `null`, and span names drawn from
 //! [`crate::names`] (plain ASCII identifiers), so no string escaping is
 //! required beyond what [`escape`] provides defensively.
 //!
@@ -30,6 +31,25 @@
 //! time is the span's duration minus its retained children's — exactly what
 //! `flamegraph.pl` / `inferno-flamegraph` consume. Nanosecond units keep
 //! sub-millisecond pipelines from collapsing to empty output.
+//!
+//! # Counter table
+//!
+//! The one place counters are formatted for people (`--stats`). Every
+//! non-zero counter, by its JSON name in declaration order, then every
+//! span name with its completed count and exact total wall time, in the
+//! order the names first completed:
+//!
+//! ```text
+//! counters:
+//!   instances                               9
+//!   unique_cores                            6
+//! spans:
+//!   hscan                                   6 × 1.234 ms
+//!   prepare                                 1 × 20.100 ms
+//! ```
+//!
+//! A counter line's value is exactly the JSON trace's `counters` entry of
+//! the same name, so the two never disagree.
 
 use crate::{Counter, Recorder};
 
@@ -98,6 +118,24 @@ pub(crate) fn to_json(rec: &Recorder) -> String {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
+    out
+}
+
+pub(crate) fn to_table(rec: &Recorder) -> String {
+    let mut out = String::from("counters:\n");
+    for c in Counter::ALL {
+        let v = rec.counter(c);
+        if v != 0 {
+            out.push_str(&format!("  {:<28} {v:>12}\n", c.name()));
+        }
+    }
+    out.push_str("spans:\n");
+    for (name, total, count) in rec.inner.as_ref().map_or(&[][..], |i| &i.agg) {
+        out.push_str(&format!(
+            "  {name:<28} {count:>12} × {:.3} ms\n",
+            total.as_secs_f64() * 1e3
+        ));
+    }
     out
 }
 
@@ -187,6 +225,38 @@ mod tests {
             assert!(!stack.is_empty());
             assert!(ns.parse::<u128>().expect("integer ns") > 0);
         }
+    }
+
+    #[test]
+    fn table_lists_nonzero_counters_in_order_then_spans() {
+        let mut rec = sample();
+        rec.record(Counter::DiskHits, 2);
+        let table = rec.to_table();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines[0], "counters:");
+        // Declaration order: `instances` precedes `disk_hits`.
+        assert_eq!(
+            lines[1].split_whitespace().collect::<Vec<_>>(),
+            ["instances", "4"]
+        );
+        assert_eq!(
+            lines[2].split_whitespace().collect::<Vec<_>>(),
+            ["disk_hits", "2"]
+        );
+        assert_eq!(lines[3], "spans:");
+        // First completion order: the innermost span closes first.
+        let spans: Vec<&str> = lines[4..]
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(spans, ["hscan", "prepare_core", "prepare"]);
+        assert!(lines[4].contains(" 1 × "), "{table}");
+        assert!(!table.contains("unique_cores"), "zero counters omitted");
+    }
+
+    #[test]
+    fn table_of_disabled_recorder_has_only_headers() {
+        assert_eq!(Recorder::disabled().to_table(), "counters:\nspans:\n");
     }
 
     #[test]

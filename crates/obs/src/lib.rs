@@ -23,7 +23,8 @@
 //!   without threading a recorder parameter through every signature;
 //! * two exporters: a machine-readable JSON trace ([`Recorder::to_json`])
 //!   and a collapsed-stack profile ([`Recorder::to_folded`]) consumable by
-//!   standard flamegraph tooling.
+//!   standard flamegraph tooling, plus the one human-readable rendering of
+//!   a run's counters ([`Recorder::to_table`]).
 //!
 //! The disabled path is one branch: a [`Recorder::disabled`] handle is an
 //! `Option::None` inside, and the free functions are a thread-local load
@@ -49,7 +50,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -220,6 +220,11 @@ counters! {
     VerifyChecks => "verify_checks", Add;
     /// Bits compared by the executed checks.
     VerifyBits => "verify_bits", Add;
+    /// Bits the chip-level wiring does not transport, summed over episodes.
+    VerifyBitsUntracked => "verify_bits_untracked", Add;
+    /// Route instances whose held data an episode's own later route
+    /// overwrote (the freeze-model gap); their checks are skipped.
+    VerifyHoldGaps => "verify_hold_gaps", Add;
 }
 
 /// One recorded span: a named interval with its parent in the span tree.
@@ -526,6 +531,12 @@ impl Recorder {
     pub fn to_folded(&self) -> String {
         export::to_folded(self)
     }
+
+    /// The human-readable counter table every `--stats` prints (see
+    /// [`export`] for the layout).
+    pub fn to_table(&self) -> String {
+        export::to_table(self)
+    }
 }
 
 /// A cloneable, thread-safe recorder handle — the shape option structs
@@ -548,18 +559,6 @@ impl SharedRecorder {
     /// Takes the recorder out, leaving a disabled one behind.
     pub fn take(&self) -> Recorder {
         std::mem::take(&mut *self.lock())
-    }
-}
-
-impl fmt::Display for SharedRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let rec = self.lock();
-        write!(
-            f,
-            "recorder: {} spans, {} dropped",
-            rec.spans().len(),
-            rec.dropped_spans()
-        )
     }
 }
 
@@ -823,6 +822,5 @@ mod tests {
         let rec = shared.take();
         assert_eq!(rec.counter(Counter::Instances), 3);
         assert!(!shared.lock().is_enabled());
-        assert!(shared.to_string().contains("0 spans"));
     }
 }

@@ -1115,6 +1115,11 @@ pub fn verify_design_point(
     for (i, s) in summaries.iter_mut().enumerate() {
         s.hold_gaps = hold_gaps[i];
     }
+    obs::add(
+        Counter::VerifyBitsUntracked,
+        summaries.iter().map(|s| s.bits_untracked).sum(),
+    );
+    obs::add(Counter::VerifyHoldGaps, hold_gaps.iter().sum());
     Ok(VerifyReport {
         soc: soc.name().to_owned(),
         choice: plan.choice.clone(),

@@ -12,13 +12,15 @@
 //! soctool verify <system>              gate-level replay oracle (see below)
 //! ```
 //!
-//! `report` and `sweep` accept `--stats` to print the evaluation engine's
-//! counters (CCG builds vs. incremental patches, Dijkstra relaxations,
-//! route-cache hits, stage wall-times); `atpg --stats` prints the fault
-//! simulator's counters (cone pruning, fault dropping, parallel shards);
-//! `prepare --stats` prints the preparation pipeline's counters (memo and
-//! disk-cache hits, stage wall-times). `prepare` also accepts
-//! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
+//! `report`, `sweep`, `atpg`, `prepare` and `verify` accept `--stats`: after
+//! the command's output they print the run's recorder as one counter table
+//! ([`Recorder::to_table`]) — every nonzero counter by its trace name, then
+//! each span's count and total wall time. The evaluation engine counts CCG
+//! builds, route-cache hits and Dijkstra relaxations; the fault simulator
+//! cone pruning, fault dropping and parallel shards; the preparation
+//! pipeline memo and disk-cache hits; the replay oracle cycles, checks and
+//! bits. A counter's value is the one `--trace` writes. `prepare` also
+//! accepts `--cache-dir PATH` (on-disk artifact store) and `--workers N`
 //! (`0` = auto).
 //!
 //! `report`, `sweep`, `atpg`, `prepare` and `verify` accept `--trace PATH`
@@ -72,29 +74,43 @@ fn usage() -> ExitCode {
                    [--trace PATH] [--profile PATH]\n\
          systems: system1 | system2 | synthetic:<cores>\n\
                   (verify also accepts `synthetic` = randomized harness)\n\
-         --stats: print engine counters (evaluation, ATPG or preparation)\n\
+         --stats: print the run's counter and span table\n\
          --trace: write the run's JSON trace; --profile: collapsed stacks"
     );
     ExitCode::from(2)
 }
 
-/// Writes the recorder's exports to the `--trace` / `--profile` targets.
-/// Returns `false` (and reports to stderr) if a write fails.
-fn export_trace(rec: &Recorder, trace: Option<&PathBuf>, profile: Option<&PathBuf>) -> bool {
-    let mut ok = true;
-    if let Some(path) = trace {
-        if let Err(e) = std::fs::write(path, rec.to_json()) {
-            eprintln!("cannot write trace {}: {e}", path.display());
-            ok = false;
+/// Where a run's recorder goes: the `--stats` table on stdout and the
+/// `--trace` / `--profile` files.
+struct RunOutputs {
+    stats: bool,
+    trace: Option<PathBuf>,
+    profile: Option<PathBuf>,
+}
+
+impl RunOutputs {
+    /// Prints the recorder's counter table when `--stats` is set, then
+    /// writes its exports. Returns `false` (and reports to stderr) if a
+    /// write fails.
+    fn emit(&self, rec: &Recorder) -> bool {
+        if self.stats {
+            print!("\n{}", rec.to_table());
         }
-    }
-    if let Some(path) = profile {
-        if let Err(e) = std::fs::write(path, rec.to_folded()) {
-            eprintln!("cannot write profile {}: {e}", path.display());
-            ok = false;
+        let mut ok = true;
+        if let Some(path) = &self.trace {
+            if let Err(e) = std::fs::write(path, rec.to_json()) {
+                eprintln!("cannot write trace {}: {e}", path.display());
+                ok = false;
+            }
         }
+        if let Some(path) = &self.profile {
+            if let Err(e) = std::fs::write(path, rec.to_folded()) {
+                eprintln!("cannot write profile {}: {e}", path.display());
+                ok = false;
+            }
+        }
+        ok
     }
-    ok
 }
 
 fn load_system(name: &str) -> Option<Soc> {
@@ -226,6 +242,11 @@ fn main() -> ExitCode {
         eprintln!("`{cmd}` does not take {flag}");
         return usage();
     }
+    let out = RunOutputs {
+        stats,
+        trace,
+        profile,
+    };
     if cmd == "systems" {
         println!("system1      the paper's barcode SOC (CPU, PREPROCESSOR, DISPLAY, RAM, ROM)");
         println!("system2      graphics -> GCD -> X.25 pipeline");
@@ -247,7 +268,7 @@ fn main() -> ExitCode {
             socet::verify::run_synthetic_cases(seed.unwrap_or(0x50CE7), cases.unwrap_or(10), &opts)
         };
         print!("{}", report.render());
-        if !export_trace(&rec, trace.as_ref(), profile.as_ref()) {
+        if !out.emit(&rec) {
             return ExitCode::FAILURE;
         }
         return if report.ok() {
@@ -290,10 +311,7 @@ fn main() -> ExitCode {
                 ),
                 Err(e) => println!("test controller : synthesis failed ({e})"),
             }
-            if stats {
-                println!("\n{}", explorer.metrics());
-            }
-            if !export_trace(&explorer.take_recorder(), trace.as_ref(), profile.as_ref()) {
+            if !out.emit(&explorer.take_recorder()) {
                 return ExitCode::FAILURE;
             }
         }
@@ -323,10 +341,7 @@ fn main() -> ExitCode {
                     p.choice
                 );
             }
-            if stats {
-                println!("\n{}", explorer.metrics());
-            }
-            if !export_trace(&explorer.take_recorder(), trace.as_ref(), profile.as_ref()) {
+            if !out.emit(&explorer.take_recorder()) {
                 return ExitCode::FAILURE;
             }
         }
@@ -383,10 +398,7 @@ fn main() -> ExitCode {
             }
             let agg = prepared.aggregate_coverage();
             println!("\naggregate: {agg}");
-            if stats {
-                println!("\n{}", prepared.atpg_stats());
-            }
-            if !export_trace(&shared.take(), trace.as_ref(), profile.as_ref()) {
+            if !out.emit(&shared.take()) {
                 return ExitCode::FAILURE;
             }
         }
@@ -399,8 +411,8 @@ fn main() -> ExitCode {
                 opts = opts.cache_dir(dir);
             }
             let tpg = socet::atpg::TpgConfig::default();
-            let (prepared, m) = match socet::flow::prepare_soc_with(&soc, &costs, &tpg, &opts) {
-                Ok(r) => r,
+            let prepared = match socet::flow::prepare_soc_with(&soc, &costs, &tpg, &opts) {
+                Ok((p, _)) => p,
                 Err(e) => {
                     eprintln!("cannot prepare {}: {e}", soc.name());
                     return ExitCode::FAILURE;
@@ -424,10 +436,7 @@ fn main() -> ExitCode {
                 }
             }
             println!("\naggregate: {}", prepared.aggregate_coverage());
-            if stats {
-                println!("\n{m}");
-            }
-            if !export_trace(&shared.take(), trace.as_ref(), profile.as_ref()) {
+            if !out.emit(&shared.take()) {
                 return ExitCode::FAILURE;
             }
         }
@@ -445,7 +454,6 @@ fn main() -> ExitCode {
             let cases = cases.unwrap_or(1).max(1);
             let mut choice = vec![0usize; limits.len()];
             let mut all_ok = true;
-            let (mut checks, mut bits) = (0u64, 0u64);
             for case in 0..cases {
                 // Case 0 is the paper design point, replayed in full; the
                 // rest sample the design space with capped vector counts.
@@ -460,9 +468,6 @@ fn main() -> ExitCode {
                         Ok(report) => {
                             print!("{}", report.render());
                             all_ok &= report.ok();
-                            checks += report.episodes.iter().map(|e| e.checks).sum::<u64>()
-                                + report.parallel.as_ref().map_or(0, |p| p.checks);
-                            bits += report.episodes.iter().map(|e| e.bits_checked).sum::<u64>();
                         }
                         Err(e) => {
                             eprintln!("cannot replay choice {choice:?}: {e}");
@@ -485,11 +490,8 @@ fn main() -> ExitCode {
                     break;
                 }
             }
-            if stats {
-                println!("total: {checks} checks, {bits} bits compared");
-            }
             drop(sink);
-            if !export_trace(&rec, trace.as_ref(), profile.as_ref()) {
+            if !out.emit(&rec) {
                 return ExitCode::FAILURE;
             }
             if !all_ok {

@@ -116,11 +116,12 @@ impl PreparedSoc {
         socet_core::Explorer::new(soc, &self.data, costs)
     }
 
-    /// Merged ATPG-engine counters over every logic core's test
+    /// Merged [`TestSet::stats`] snapshots over every logic core's test
     /// generation. Counted **per physical instance**, like
-    /// [`aggregate_coverage`](Self::aggregate_coverage) — render it
-    /// directly, or fold it into a [`Recorder`](socet_obs::Recorder) with
-    /// [`socet_atpg::AtpgMetrics::record_into`].
+    /// [`aggregate_coverage`](Self::aggregate_coverage), and kept by the
+    /// artifact store, so a disk-warm run still accounts for the ATPG work
+    /// behind its test sets. The run's recorder, by contrast, counts only
+    /// the work it actually did.
     pub fn atpg_stats(&self) -> socet_atpg::AtpgMetrics {
         let mut m = socet_atpg::AtpgMetrics::new();
         for t in self.tests.iter().flatten() {

@@ -122,3 +122,56 @@ fn malformed_numeric_values_are_rejected() {
     assert_usage_rejection(&["prepare", "system2", "--workers", "-3"]);
     assert_usage_rejection(&["prepare", "system2", "--workers", "four"]);
 }
+
+/// The `name value` lines of the `counters:` block of a `--stats` table.
+fn printed_counters(stdout: &str) -> Vec<(String, u64)> {
+    stdout
+        .lines()
+        .skip_while(|l| *l != "counters:")
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| {
+            let mut it = l.split_whitespace();
+            let name = it.next().expect("counter name").to_owned();
+            let value = it.next().expect("counter value").parse().expect("integer");
+            assert_eq!(it.next(), None, "stray field in `{l}`");
+            (name, value)
+        })
+        .collect()
+}
+
+/// The `"counters"` object of a version-1 JSON trace, in file order.
+fn trace_counters(json: &str) -> Vec<(String, u64)> {
+    let body = json
+        .split_once("\"counters\": {")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .expect("counters object")
+        .0;
+    body.split(',')
+        .filter(|e| !e.trim().is_empty())
+        .map(|e| {
+            let (name, value) = e.split_once(':').expect("name: value");
+            let name = name.trim().trim_matches('"').to_owned();
+            (name, value.trim().parse().expect("integer"))
+        })
+        .collect()
+}
+
+#[test]
+fn stats_tables_equal_trace_counters() {
+    // `--stats` and `--trace` of one invocation render one recorder, so
+    // every printed counter is the trace's; a total summed by hand from
+    // the report would drift from what the engines counted.
+    let dir = scratch_dir("stats-vs-trace");
+    for args in [["verify", "system1"], ["atpg", "system2"]] {
+        let trace = dir.join(format!("{}.json", args[0]));
+        let trace_arg = trace.to_str().expect("utf-8 path");
+        let out = soctool(&[args[0], args[1], "--stats", "--trace", trace_arg]);
+        assert!(out.status.success(), "soctool {args:?} failed: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed = printed_counters(&stdout);
+        assert!(!printed.is_empty(), "no counter table:\n{stdout}");
+        let json = std::fs::read_to_string(&trace).expect("trace written");
+        assert_eq!(printed, trace_counters(&json), "soctool {args:?}");
+    }
+}

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use socet::cells::DftCosts;
 use socet::core::{
-    plan_inputs, schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler,
+    plan_inputs, schedule, try_schedule, Ccg, CoreTestData, Explorer, Metrics, ScheduleError,
+    Scheduler,
 };
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
@@ -159,9 +160,9 @@ fn explorer_metrics_count_sweep_work() {
     let data = prepare(&soc);
     let ex = Explorer::new(&soc, &data, DftCosts::default());
     let points = ex.sweep();
-    let m = ex.metrics();
+    let m = Metrics::from_recorder(&ex.take_recorder());
     assert_eq!(m.evaluations, points.len() as u64);
-    assert!(m.ccg_incremental_patches > 0, "{m}");
-    assert!(m.route_cache_hits > 0, "{m}");
-    assert!(m.dijkstra_relaxations > 0, "{m}");
+    assert!(m.ccg_incremental_patches > 0, "{m:?}");
+    assert!(m.route_cache_hits > 0, "{m:?}");
+    assert!(m.dijkstra_relaxations > 0, "{m:?}");
 }

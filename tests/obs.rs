@@ -124,8 +124,9 @@ fn trace_shape_matches_the_pipeline_structure() {
 #[test]
 fn replay_trace_shape_and_work_counts() {
     // The work counts are deterministic. System 1's full paper design point
-    // simulates 16 714 packed cycles (24 570 checks, 122 010 bits); System
-    // 2 capped at 4 vectors simulates 11 059, its last check + 1.
+    // simulates 16 714 packed cycles (24 570 checks, 122 010 bits; 10 185
+    // bits untracked, 2 100 hold gaps); System 2 capped at 4 vectors
+    // simulates 11 059, its last check + 1.
     for (soc, cap, cycles) in [
         (socet::socs::barcode_system(), None, 16_714),
         (socet::socs::system2(), Some(4), 11_059),
@@ -142,9 +143,20 @@ fn replay_trace_shape_and_work_counts() {
         };
         assert!(report.ok(), "{}", report.render());
         assert_eq!(rec.counter(Counter::VerifyCycles), cycles);
+        // The untracked and hold-gap counters are the report's sums.
+        let sum = |f: fn(&socet::verify::EpisodeSummary) -> u64| {
+            report.episodes.iter().map(f).sum::<u64>()
+        };
+        assert_eq!(
+            rec.counter(Counter::VerifyBitsUntracked),
+            sum(|e| e.bits_untracked)
+        );
+        assert_eq!(rec.counter(Counter::VerifyHoldGaps), sum(|e| e.hold_gaps));
         if cap.is_none() {
             assert_eq!(rec.counter(Counter::VerifyChecks), 24_570);
             assert_eq!(rec.counter(Counter::VerifyBits), 122_010);
+            assert_eq!(rec.counter(Counter::VerifyBitsUntracked), 10_185);
+            assert_eq!(rec.counter(Counter::VerifyHoldGaps), 2_100);
         }
         let spans = rec.spans();
         for (name, want) in [
