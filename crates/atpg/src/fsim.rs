@@ -12,13 +12,14 @@
 //!   compared. A fault whose cone reaches no observable point is skipped
 //!   outright.
 //! * **fault partitioning** (PROOFS-style fault parallelism): the live
-//!   fault list of each block is split across scoped threads; every fault's
-//!   verdict is an independent pure function of the shared baseline, so
-//!   results are bit-identical for any worker count.
+//!   fault list of each block is split into contiguous shards through
+//!   [`socet_obs::fan_out`]; every fault's verdict is an independent pure
+//!   function of the shared baseline, so results are bit-identical for
+//!   any worker count.
 //!
-//! The seed's full-netlist path survives as [`FaultSim::detected_naive`] /
-//! [`FaultSim::accumulate_naive`], the oracle the property tests pin the
-//! cone engine against.
+//! The seed's full-netlist path survives only in test code, as the oracle
+//! the cone engine is pinned against (`tests::detected_naive` here and a
+//! scalar twin in the root `tests/properties.rs`).
 //!
 //! The engine counts its work into the thread's installed
 //! [`socet_obs`] recorder: blocks simulated, cone gates re-evaluated
@@ -287,57 +288,26 @@ impl<'a> FaultSim<'a> {
             .workers
             .min(live.len().div_ceil(MIN_PARALLEL_FAULTS / 2));
         if workers > 1 && live.len() >= MIN_PARALLEL_FAULTS {
-            let chunk = live.len().div_ceil(workers);
-            let shards: Vec<(Vec<(u32, u64)>, socet_obs::Recorder)> = std::thread::scope(|s| {
-                let handles: Vec<_> = live
-                    .chunks(chunk)
-                    .map(|part| {
-                        // Forked on the parent thread so the worker's
-                        // spans land on the caller's timeline (disabled
-                        // — and free — when nothing is installed).
-                        let mut rec = socet_obs::fork_local();
-                        s.spawn(move || {
-                            let out: Vec<(u32, u64)> = {
-                                let _sink = rec.install();
-                                let _span = socet_obs::span(names::FSIM_SHARD);
-                                let mut scratch = ConeScratch::new(nl.gates().len());
-                                let mut work = ConeWork::default();
-                                let out = part
-                                    .iter()
-                                    .map(|&fi| {
-                                        let mask = fault_mask(
-                                            nl,
-                                            cones,
-                                            good,
-                                            &mut scratch,
-                                            faults[fi as usize],
-                                            used,
-                                            &mut work,
-                                        );
-                                        (fi, mask)
-                                    })
-                                    .collect();
-                                work.record();
-                                out
-                            };
-                            (out, rec)
-                        })
+            // Each shard is a contiguous run of live faults with its own
+            // scratch; the shards come back in order, so the merge is a
+            // zip with `live`.
+            let shards = socet_obs::fan_out(live.len(), workers, |range| {
+                let _span = socet_obs::span(names::FSIM_SHARD);
+                let mut scratch = ConeScratch::new(nl.gates().len());
+                let mut work = ConeWork::default();
+                let out: Vec<u64> = live[range]
+                    .iter()
+                    .map(|&fi| {
+                        let fault = faults[fi as usize];
+                        fault_mask(nl, cones, good, &mut scratch, fault, used, &mut work)
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
+                work.record();
+                out
             });
-            // Deterministic merge: shards are disjoint index sets, walked
-            // in spawn order; shard recorders fold into the caller's sink
-            // in the same order.
             socet_obs::add(Counter::ParallelShards, shards.len() as u64);
-            for (out, rec) in shards {
-                for &(fi, mask) in &out {
-                    masks[fi as usize] = mask;
-                }
-                socet_obs::adopt([rec]);
+            for (&fi, mask) in live.iter().zip(shards.into_iter().flatten()) {
+                masks[fi as usize] = mask;
             }
         } else {
             let mut work = ConeWork::default();
@@ -353,53 +323,6 @@ impl<'a> FaultSim<'a> {
                 );
             }
             work.record();
-        }
-    }
-
-    /// The seed's full-netlist resimulation path, kept as the oracle the
-    /// cone engine is pinned against: `result[i]` tells whether `faults[i]`
-    /// is detected by at least one pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics on pattern width mismatch.
-    pub fn detected_naive(&self, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
-        let mut det = vec![false; faults.len()];
-        self.accumulate_naive(faults, patterns, &mut det);
-        det
-    }
-
-    /// Naive-path counterpart of [`FaultSim::accumulate`]: rebuilds the
-    /// packed state and re-evaluates the entire netlist for every live
-    /// fault × block, exactly as the seed did.
-    ///
-    /// # Panics
-    ///
-    /// Panics on pattern width mismatch or `det.len() != faults.len()`.
-    pub fn accumulate_naive(&self, faults: &[Fault], patterns: &[Vec<bool>], det: &mut [bool]) {
-        assert_eq!(det.len(), faults.len(), "detection map length");
-        let sim = PackedSim::new(self.nl);
-        let pos = self.nl.comb_outputs();
-        for block in patterns.chunks(64) {
-            let (pi, ff) = self.pack_owned(block);
-            let used: u64 = if block.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << block.len()) - 1
-            };
-            let good = sim.eval(&pi, &ff, None);
-            for (fi, fault) in faults.iter().enumerate() {
-                if det[fi] {
-                    continue;
-                }
-                let bad = sim.eval(&pi, &ff, Some((fault.signal, fault.stuck_at_one)));
-                let hit = pos
-                    .iter()
-                    .any(|s| (good[s.index()] ^ bad[s.index()]) & used != 0);
-                if hit {
-                    det[fi] = true;
-                }
-            }
         }
     }
 
@@ -421,25 +344,6 @@ impl<'a> FaultSim<'a> {
                 }
             }
         }
-    }
-
-    /// Owned-buffer packing for the naive (`&self`) oracle path.
-    fn pack_owned(&self, block: &[Vec<bool>]) -> (Vec<u64>, Vec<u64>) {
-        let mut pi = vec![0u64; self.n_pi];
-        let mut ff = vec![0u64; self.n_ff];
-        for (k, pat) in block.iter().enumerate() {
-            assert_eq!(pat.len(), self.pattern_width(), "pattern width");
-            for (i, &bit) in pat.iter().enumerate() {
-                if bit {
-                    if i < self.n_pi {
-                        pi[i] |= 1 << k;
-                    } else {
-                        ff[i - self.n_pi] |= 1 << k;
-                    }
-                }
-            }
-        }
-        (pi, ff)
     }
 }
 
@@ -532,11 +436,50 @@ fn build_cones(nl: &GateNetlist) -> Vec<Cone> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::fault_list;
     use socet_gate::{GateKind, GateNetlistBuilder, SignalId};
     use socet_obs::Recorder;
+
+    /// The seed's full-netlist resimulation path, the oracle the cone
+    /// engine is pinned against: packs each block of ≤64 patterns and
+    /// re-evaluates the entire netlist for every undetected fault.
+    pub(crate) fn detected_naive(
+        nl: &GateNetlist,
+        faults: &[Fault],
+        patterns: &[Vec<bool>],
+    ) -> Vec<bool> {
+        let sim = PackedSim::new(nl);
+        let n_pi = nl.inputs().len();
+        let pos = nl.comb_outputs();
+        let mut det = vec![false; faults.len()];
+        for block in patterns.chunks(64) {
+            let mut pi = vec![0u64; n_pi];
+            let mut ff = vec![0u64; nl.flip_flop_count()];
+            for (k, pat) in block.iter().enumerate() {
+                for (i, &bit) in pat.iter().enumerate() {
+                    if bit && i < n_pi {
+                        pi[i] |= 1 << k;
+                    } else if bit {
+                        ff[i - n_pi] |= 1 << k;
+                    }
+                }
+            }
+            let used = u64::MAX >> (64 - block.len());
+            let good = sim.eval(&pi, &ff, None);
+            for (fi, fault) in faults.iter().enumerate() {
+                if det[fi] {
+                    continue;
+                }
+                let bad = sim.eval(&pi, &ff, Some((fault.signal, fault.stuck_at_one)));
+                det[fi] = pos
+                    .iter()
+                    .any(|s| (good[s.index()] ^ bad[s.index()]) & used != 0);
+            }
+        }
+        det
+    }
 
     #[test]
     fn no_patterns_detect_nothing() {
@@ -661,8 +604,7 @@ mod tests {
         let patterns = lcg_patterns(8, 100, 0xfee1);
         let mut sim = FaultSim::new(&nl);
         let cone = sim.detected(&faults, &patterns);
-        let naive = sim.detected_naive(&faults, &patterns);
-        assert_eq!(cone, naive);
+        assert_eq!(cone, detected_naive(&nl, &faults, &patterns));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! Fault blocks are mutually independent — each shares only the read-only
 //! kernel and the good-machine reference — so [`SeqFaultSim::run_from`]
-//! additionally partitions them across scoped threads; results are
-//! bit-identical for any worker count.
+//! additionally partitions them into contiguous runs through
+//! [`socet_obs::fan_out`]; results are bit-identical for any worker count.
 
 use crate::fault::Fault;
 use socet_gate::{Force, GateNetlist, PackedSim, Tri, P3};
@@ -85,31 +85,14 @@ impl<'a> SeqFaultSim<'a> {
         let mut good = Vec::with_capacity(vectors.len());
         self.clock(&vectors, init, &[], |outs| good.push(outs.to_vec()));
 
-        let mut detected = vec![false; faults.len()];
-        let mut blocks: Vec<(&[Fault], &mut [bool])> =
-            faults.chunks(64).zip(detected.chunks_mut(64)).collect();
-        let workers = self.workers.min(blocks.len());
-        if workers > 1 {
-            // Fault-block partitioning: contiguous runs of independent
-            // 64-fault blocks per worker, each writing its own disjoint
-            // slice of the detection map, so the merge is the identity.
-            let per = blocks.len().div_ceil(workers);
-            let (vectors, good) = (&vectors, &good);
-            std::thread::scope(|s| {
-                for part in blocks.chunks_mut(per) {
-                    s.spawn(move || {
-                        for (block, det) in part.iter_mut() {
-                            self.run_block(block, vectors, good, init, det);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (block, det) in blocks.iter_mut() {
-                self.run_block(block, &vectors, &good, init, det);
-            }
-        }
-        detected
+        let blocks: Vec<&[Fault]> = faults.chunks(64).collect();
+        let runs = socet_obs::fan_out(blocks.len(), self.workers, |range| {
+            blocks[range]
+                .iter()
+                .flat_map(|block| self.run_block(block, &vectors, &good, init))
+                .collect::<Vec<bool>>()
+        });
+        runs.concat()
     }
 
     /// Clocks `vectors` through the kernel from every flip-flop at `init`,
@@ -134,17 +117,16 @@ impl<'a> SeqFaultSim<'a> {
         }
     }
 
-    /// Simulates one block of ≤64 faults, fault *k* in lane *k*, and marks
-    /// `det[k]` when lane *k* ever shows a definite value opposite to the
-    /// good machine's at a primary output.
+    /// Simulates one block of ≤64 faults, fault *k* in lane *k*; entry *k*
+    /// of the result tells whether lane *k* ever showed a definite value
+    /// opposite to the good machine's at a primary output.
     fn run_block(
         &self,
         block: &[Fault],
         vectors: &[Vec<P3>],
         good: &[Vec<P3>],
         init: Tri,
-        det: &mut [bool],
-    ) {
+    ) -> impl Iterator<Item = bool> {
         let mut forces: Vec<Force> = block
             .iter()
             .enumerate()
@@ -159,9 +141,7 @@ impl<'a> SeqFaultSim<'a> {
             }
             cycle += 1;
         });
-        for (k, d) in det.iter_mut().enumerate() {
-            *d = lanes >> k & 1 != 0;
-        }
+        (0..block.len()).map(move |k| lanes >> k & 1 != 0)
     }
 }
 

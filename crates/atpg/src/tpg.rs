@@ -312,7 +312,7 @@ mod tests {
         let det = sim.detected(&faults, &tests.patterns);
         assert_eq!(count(&det), tests.coverage.detected);
         // …and with the fill-mask fallback gone, the naive oracle agrees.
-        let naive = sim.detected_naive(&faults, &tests.patterns);
+        let naive = crate::fsim::tests::detected_naive(&nl, &faults, &tests.patterns);
         assert_eq!(count(&naive), tests.coverage.detected);
         assert_eq!(tests.stats.fill_mask_events, 0);
     }

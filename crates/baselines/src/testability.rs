@@ -1,9 +1,10 @@
 //! Testability measurements behind Table 3: fault coverage of the
-//! un-DFT'd chip, the HSCAN-only chip, and the full per-core ATPG coverage
-//! that scan-accessible methods reach.
+//! un-DFT'd chip and of the HSCAN-only chip. The full per-core ATPG
+//! coverage that scan-accessible methods reach is the preparation
+//! pipeline's (`PreparedSoc::aggregate_coverage` in the root crate).
 
 use socet_atpg::tpg::random_sequence;
-use socet_atpg::{fault_list, generate_tests, Coverage, SeqFaultSim, TestSet, TpgConfig};
+use socet_atpg::{fault_list, Coverage, SeqFaultSim, TestSet};
 use socet_gate::GateNetlist;
 use socet_rtl::{Soc, SocEndpoint};
 
@@ -80,55 +81,11 @@ fn core_fully_at_pins(soc: &Soc, cid: socet_rtl::CoreInstanceId) -> bool {
     input_ok && output_ok
 }
 
-/// Aggregated per-core combinational ATPG coverage: the fault coverage any
-/// method with full scan access to every core achieves (FSCAN-BSCAN and
-/// SOCET both report these numbers in Table 3 — the methods differ in cost,
-/// not coverage).
-///
-/// `netlists[i]` is the elaborated netlist of core instance `i` (`None` for
-/// memory cores). Returns the merged coverage and the per-core test sets.
-///
-/// Cores are independent ATPG problems, so they are partitioned across
-/// scoped threads; each worker writes its own disjoint slice of the result
-/// and coverage is merged in core-index order, keeping the output identical
-/// to the serial loop.
-pub fn aggregate_core_coverage(
-    netlists: &[Option<GateNetlist>],
-    config: &TpgConfig,
-) -> (Coverage, Vec<Option<TestSet>>) {
-    let mut sets: Vec<Option<TestSet>> = Vec::new();
-    sets.resize_with(netlists.len(), || None);
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(netlists.len().max(1));
-    if workers > 1 {
-        let per = netlists.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (in_part, out_part) in netlists.chunks(per).zip(sets.chunks_mut(per)) {
-                s.spawn(move || {
-                    for (nl, out) in in_part.iter().zip(out_part.iter_mut()) {
-                        *out = nl.as_ref().map(|nl| generate_tests(nl, config));
-                    }
-                });
-            }
-        });
-    } else {
-        for (nl, out) in netlists.iter().zip(sets.iter_mut()) {
-            *out = nl.as_ref().map(|nl| generate_tests(nl, config));
-        }
-    }
-    let mut total = Coverage::default();
-    for tests in sets.iter().flatten() {
-        total = total.merge(&tests.coverage);
-    }
-    (total, sets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flatten::flatten_soc;
+    use socet_atpg::{generate_tests, TpgConfig};
     use socet_gate::elaborate;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
@@ -144,6 +101,17 @@ mod tests {
         b.connect_through_fu(r1, fu, r2).unwrap();
         b.connect_reg_to_port(r2, o).unwrap();
         Arc::new(b.build().unwrap())
+    }
+
+    /// Each logic core's ATPG test set, by instance.
+    fn per_core_tests(soc: &Soc) -> Vec<Option<TestSet>> {
+        soc.cores()
+            .iter()
+            .map(|c| {
+                let nl = elaborate(c.core()).unwrap().netlist;
+                Some(generate_tests(&nl, &TpgConfig::default()))
+            })
+            .collect()
     }
 
     fn two_core_soc() -> Soc {
@@ -177,12 +145,10 @@ mod tests {
         let soc = two_core_soc();
         let flat = flatten_soc(&soc).unwrap();
         let orig = orig_coverage(&flat, 32, 7);
-        let netlists: Vec<Option<GateNetlist>> = soc
-            .cores()
+        let full = per_core_tests(&soc)
             .iter()
-            .map(|c| Some(elaborate(c.core()).unwrap().netlist))
-            .collect();
-        let (full, _) = aggregate_core_coverage(&netlists, &TpgConfig::default());
+            .flatten()
+            .fold(Coverage::default(), |acc, t| acc.merge(&t.coverage));
         assert!(full.fault_coverage() > orig.fault_coverage());
         assert!(full.test_efficiency() > 99.0, "{full}");
     }
@@ -191,12 +157,7 @@ mod tests {
     fn hscan_only_between_orig_and_full() {
         let soc = two_core_soc();
         let flat = flatten_soc(&soc).unwrap();
-        let netlists: Vec<Option<GateNetlist>> = soc
-            .cores()
-            .iter()
-            .map(|c| Some(elaborate(c.core()).unwrap().netlist))
-            .collect();
-        let (_, sets) = aggregate_core_coverage(&netlists, &TpgConfig::default());
+        let sets = per_core_tests(&soc);
         let orig = orig_coverage(&flat, 32, 7);
         let hscan = hscan_only_coverage(&soc, &flat, &sets, 32, 7);
         // Neither core is fully at pins in the chain, so HSCAN-only equals
@@ -219,8 +180,7 @@ mod tests {
         sb.connect_core_to_pin(u, o, po).unwrap();
         let soc = sb.build().unwrap();
         let flat = flatten_soc(&soc).unwrap();
-        let netlists = vec![Some(elaborate(&core).unwrap().netlist)];
-        let (_, sets) = aggregate_core_coverage(&netlists, &TpgConfig::default());
+        let sets = per_core_tests(&soc);
         let orig = orig_coverage(&flat, 16, 3);
         let hscan = hscan_only_coverage(&soc, &flat, &sets, 16, 3);
         assert!(hscan.detected > orig.detected);

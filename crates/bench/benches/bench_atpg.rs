@@ -1,8 +1,7 @@
 //! Criterion bench: elaboration, PODEM-based test generation and fault
-//! simulation — the naive full-netlist path against the cone-pruned engine
-//! (cold = constructed per run, warm = cones and buffers reused, parallel =
-//! fault partitioning across all cores) on the largest netlist we have, the
-//! flattened barcode chip.
+//! simulation with the cone-pruned engine (cold = constructed per run,
+//! warm = cones and buffers reused, parallel = fault partitioning across
+//! all cores) on the largest netlist we have, the flattened barcode chip.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use socet_atpg::tpg::random_sequence;
@@ -46,15 +45,11 @@ fn bench_atpg(c: &mut Criterion) {
 
     // Combinational fault simulation on the flattened barcode chip — the
     // largest netlist in the repo. 128 patterns against the full fault
-    // list; both engines drop detected faults block-to-block, so they do
-    // comparable work.
+    // list, dropping detected faults block-to-block.
     let chip = flatten_soc(&barcode_system()).expect("barcode system flattens");
     let chip_faults = fault_list(&chip);
     let mut warm = FaultSim::new(&chip).with_workers(1);
     let patterns = lcg_patterns(warm.pattern_width(), 128, 0xc41b);
-    group.bench_function("comb_fault_sim/chip_naive", |b| {
-        b.iter(|| FaultSim::new(&chip).detected_naive(&chip_faults, &patterns))
-    });
     group.bench_function("comb_fault_sim/chip_cone_cold", |b| {
         b.iter(|| {
             FaultSim::new(&chip)

@@ -9,9 +9,13 @@
 //! differ in few cores, so almost every evaluation is an incremental CCG
 //! patch; the §5.2 loop additionally memoizes evaluated points (the
 //! strict/lateral passes probe the same candidates repeatedly). Sweeps
-//! fan out over [`std::thread::scope`] when the host has more than one
-//! CPU, splitting the lexicographic index range into contiguous chunks so
-//! the output order stays deterministic.
+//! split the lexicographic index range into contiguous chunks through
+//! [`socet_obs::fan_out`], one engine per chunk, so the output order and
+//! the trace stay deterministic.
+//!
+//! Each public call installs the explorer's own recorder for its length;
+//! the engines record into it (sweep workers into forks of it) like every
+//! other engine, and [`Explorer::take_recorder`] hands it out.
 
 use crate::error::ScheduleError;
 use crate::plan::{CoreTestData, DesignPoint};
@@ -68,8 +72,8 @@ pub struct Explorer<'a> {
     /// The warm evaluation engine: its cached CCG, router scratch and
     /// route cache survive across `evaluate`/`optimize`/`sweep` calls.
     engine: Mutex<Option<Scheduler<'a>>>,
-    /// Explorer-wide recorder: every engine's events (including all sweep
-    /// workers') are folded in, in deterministic order.
+    /// Explorer-wide recorder, installed for the length of each public
+    /// call. Lock order: this recorder, then the engine.
     rec: Mutex<Recorder>,
 }
 
@@ -97,22 +101,19 @@ impl<'a> Explorer<'a> {
         Scheduler::new(self.soc, self.data, &self.costs)
     }
 
-    /// Runs `f` on the explorer's warm engine (created on first use),
-    /// folding the engine's recorded events into the explorer-wide
-    /// recorder.
+    /// Runs `f` on the explorer's warm engine (created on first use).
     fn with_engine<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
         let mut guard = self.engine.lock().expect("engine lock");
-        let engine = guard.get_or_insert_with(|| self.scheduler());
-        let r = f(engine);
-        let rec = engine.take_recorder();
-        drop(guard);
-        self.absorb(rec);
-        r
+        f(guard.get_or_insert_with(|| self.scheduler()))
     }
 
-    /// Folds one engine's recorded events into the explorer-wide recorder.
-    fn absorb(&self, rec: Recorder) {
-        self.rec.lock().expect("recorder lock").merge_child(rec);
+    /// Runs `f` with the explorer-wide recorder installed as the thread's
+    /// sink, inside a span `name` when one is given.
+    fn recording<R>(&self, name: Option<&'static str>, f: impl FnOnce() -> R) -> R {
+        let mut rec = self.rec.lock().expect("recorder lock");
+        let _sink = rec.install();
+        let _span = name.map(socet_obs::span);
+        f()
     }
 
     /// The explorer-wide recorder — spans and counters of every evaluation
@@ -137,7 +138,7 @@ impl<'a> Explorer<'a> {
     /// (missing core data, out-of-range or short choice vectors) as a
     /// [`ScheduleError`] instead of panicking.
     pub fn try_evaluate(&self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
-        self.with_engine(|sched| sched.evaluate(choice))
+        self.recording(None, || self.with_engine(|sched| sched.evaluate(choice)))
     }
 
     /// The minimum-area starting choice: version 1 everywhere.
@@ -175,15 +176,12 @@ impl<'a> Explorer<'a> {
     /// Non-panicking [`Explorer::sweep`].
     ///
     /// The sweep runs on every available CPU: the lexicographic index
-    /// range is split into contiguous chunks, one scoped worker thread per
-    /// chunk, each with its own incremental [`Scheduler`]; chunks are
-    /// concatenated in spawn order, so the result is identical to the
-    /// sequential sweep.
+    /// range is split into contiguous chunks by [`socet_obs::fan_out`],
+    /// each evaluated by its own incremental [`Scheduler`] (the warm engine
+    /// when there is one chunk); chunks are concatenated in order, so the
+    /// result is identical to the sequential sweep.
     pub fn try_sweep(&self) -> Result<Vec<DesignPoint>, ScheduleError> {
-        let span = self.rec.lock().expect("recorder lock").begin(names::SWEEP);
-        let result = self.try_sweep_inner();
-        self.rec.lock().expect("recorder lock").end(span);
-        result
+        self.recording(Some(names::SWEEP), || self.try_sweep_inner())
     }
 
     fn try_sweep_inner(&self) -> Result<Vec<DesignPoint>, ScheduleError> {
@@ -207,59 +205,31 @@ impl<'a> Explorer<'a> {
             }
             choice
         };
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(total.max(1));
-        if workers <= 1 {
-            return self.with_engine(|sched| {
-                let mut points = Vec::with_capacity(total);
-                for k in 0..total {
-                    points.push(sched.evaluate(&choice_of(k))?);
-                }
-                Ok(points)
-            });
-        }
-        let chunk = total.div_ceil(workers);
-        let results: Vec<Result<(Vec<DesignPoint>, Recorder), ScheduleError>> =
-            std::thread::scope(|s| {
-                let choice_of = &choice_of;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let lo = w * chunk;
-                            let hi = ((w + 1) * chunk).min(total);
-                            let mut sched = self.scheduler();
-                            let mut points = Vec::with_capacity(hi - lo);
-                            for k in lo..hi {
-                                points.push(sched.evaluate(&choice_of(k))?);
-                            }
-                            Ok((points, sched.take_recorder()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-        // Index-ordered merge: chunks concatenate and recorders fold in
-        // spawn order, so both the points and the trace are deterministic.
-        let mut points = Vec::with_capacity(total);
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok((p, rec)) => {
-                    points.extend(p);
-                    self.absorb(rec);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunks = socet_obs::fan_out(total, workers, |range| {
+            // Sized up front: a growing vector per worker thread raised the
+            // sweep's peak RSS by ~10%.
+            let evaluate_range =
+                |sched: &mut Scheduler<'a>| -> Result<Vec<DesignPoint>, ScheduleError> {
+                    let mut points = Vec::with_capacity(range.len());
+                    for k in range.clone() {
+                        points.push(sched.evaluate(&choice_of(k))?);
+                    }
+                    Ok(points)
+                };
+            if range.len() == total {
+                self.with_engine(evaluate_range)
+            } else {
+                evaluate_range(&mut self.scheduler())
             }
+        });
+        // The first failing chunk's error is the one the sequential sweep
+        // would have reported.
+        let mut points = Vec::with_capacity(total);
+        for chunk in chunks {
+            points.extend(chunk?);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(points),
-        }
+        Ok(points)
     }
 
     /// §5.2 latency number of `core` under `version_idx`, given the pair
@@ -309,15 +279,10 @@ impl<'a> Explorer<'a> {
     /// and over, and a memo hit skips the whole build/route/assemble
     /// pipeline.
     pub fn try_optimize(&self, objective: Objective) -> Result<DesignPoint, ScheduleError> {
-        let span = self
-            .rec
-            .lock()
-            .expect("recorder lock")
-            .begin(names::OPTIMIZE);
-        let mut memo: HashMap<Vec<usize>, DesignPoint> = HashMap::new();
-        let result = self.with_engine(|sched| self.optimize_inner(objective, sched, &mut memo));
-        self.rec.lock().expect("recorder lock").end(span);
-        result
+        self.recording(Some(names::OPTIMIZE), || {
+            let mut memo: HashMap<Vec<usize>, DesignPoint> = HashMap::new();
+            self.with_engine(|sched| self.optimize_inner(objective, sched, &mut memo))
+        })
     }
 
     fn optimize_inner(

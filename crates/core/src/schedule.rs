@@ -17,12 +17,17 @@
 //! and the Fig. 10 sweep evaluate thousands of adjacent points; reusing
 //! the graph and the scratch is what makes them cheap. The free functions
 //! [`schedule`]/[`schedule_with`] remain as one-shot wrappers.
+//!
+//! Like every engine, the scheduler records through the thread's installed
+//! [`socet_obs`] sink: an `evaluate` span with `build` / `route` /
+//! `assemble` children per design point, plus the evaluation, CCG and
+//! routing counters. With nothing installed it records nothing.
 
 use crate::ccg::{Ccg, CcgEdgeKind, CcgNode, Resource};
 use crate::error::ScheduleError;
 use crate::plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 use socet_cells::{AreaReport, CellKind, DftCosts};
-use socet_obs::{names, Counter, Recorder};
+use socet_obs::{names, Counter};
 use socet_rtl::{CoreInstanceId, PortId, Soc};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -73,15 +78,6 @@ impl<'a> Router<'a> {
     /// A router with no reservations.
     pub fn new(ccg: &'a Ccg) -> Self {
         Router::with_scratch(ccg, RouterScratch::default(), true)
-    }
-
-    /// A router that *ignores* resource conflicts — the ablation baseline
-    /// showing what goes wrong without the paper's edge reservations:
-    /// per-vector times come out optimistically low because concurrent
-    /// transfers through shared transparency logic are impossible in
-    /// hardware.
-    pub fn new_unconstrained(ccg: &'a Ccg) -> Self {
-        Router::with_scratch(ccg, RouterScratch::default(), false)
     }
 
     /// A router recycling a previous router's buffers. Reservations are
@@ -312,8 +308,8 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// router's scratch buffers. Evaluating a neighbouring choice — the common
 /// case in the §5.2 loop and in a lexicographic sweep — patches only the
 /// stepped cores' edge groups and reuses every allocation. All failure
-/// modes are typed ([`ScheduleError`]); the engine's recorder
-/// ([`Scheduler::take_recorder`]) counts what each stage did.
+/// modes are typed ([`ScheduleError`]); each stage counts what it did into
+/// the thread's installed recorder.
 ///
 /// # Examples
 ///
@@ -321,7 +317,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
 /// # use socet_cells::DftCosts;
 /// # use socet_core::{plan_inputs, Scheduler};
-/// # use socet_core::obs::Counter;
+/// # use socet_core::obs::{Counter, Recorder};
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
 /// # let i = b.port("i", Direction::In, 8).unwrap();
@@ -339,11 +335,13 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # let soc = sb.build().unwrap();
 /// # let costs = DftCosts::default();
 /// # let data = plan_inputs(&soc, &costs, 10).unwrap();
+/// let mut rec = Recorder::new();
+/// let sink = rec.install();
 /// let mut scheduler = Scheduler::new(&soc, &data, &costs);
 /// let slow = scheduler.evaluate(&[0])?;
 /// let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
 /// assert!(fast.test_application_time() <= slow.test_application_time());
-/// let rec = scheduler.take_recorder();
+/// drop(sink);
 /// assert_eq!(rec.counter(Counter::Evaluations), 2);
 /// assert_eq!(rec.counter(Counter::CcgIncrementalPatches), 1);
 /// # Ok::<(), socet_core::ScheduleError>(())
@@ -358,7 +356,6 @@ pub struct Scheduler<'a> {
     choice: Vec<usize>,
     scratch: Option<RouterScratch>,
     route_cache: HashMap<(CoreInstanceId, Vec<usize>), CoreRouteOutcome>,
-    rec: Recorder,
 }
 
 impl<'a> Scheduler<'a> {
@@ -374,7 +371,6 @@ impl<'a> Scheduler<'a> {
             choice: Vec::new(),
             scratch: None,
             route_cache: HashMap::new(),
-            rec: Recorder::new(),
         }
     }
 
@@ -389,19 +385,10 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// The engine's recorder, for trace export or folding into a parent
-    /// recorder; a fresh (empty) one takes its place.
-    pub fn take_recorder(&mut self) -> Recorder {
-        let fresh = self.rec.fork();
-        std::mem::replace(&mut self.rec, fresh)
-    }
-
     /// Routes and schedules one version choice: build → route → assemble.
     pub fn evaluate(&mut self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
-        let span = self.rec.begin(names::EVALUATE);
-        let result = self.evaluate_inner(choice);
-        self.rec.end(span);
-        result
+        let _span = socet_obs::span(names::EVALUATE);
+        self.evaluate_inner(choice)
     }
 
     fn evaluate_inner(&mut self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
@@ -410,21 +397,19 @@ impl<'a> Scheduler<'a> {
         let routed = self.route_stage(&ccg, choice);
         self.ccg = Some(ccg);
         let routed = routed?;
-        let span = self.rec.begin(names::ASSEMBLE);
-        let dp = self.assemble_stage(choice, routed);
-        self.rec.end(span);
-        let dp = dp?;
-        self.rec.record(Counter::Evaluations, 1);
+        let dp = {
+            let _span = socet_obs::span(names::ASSEMBLE);
+            self.assemble_stage(choice, routed)?
+        };
+        socet_obs::add(Counter::Evaluations, 1);
         Ok(dp)
     }
 
     /// Build stage: construct the CCG, or — when one is cached for a
     /// same-length choice — patch only the cores whose version changed.
     fn build_stage(&mut self, choice: &[usize]) -> Result<(), ScheduleError> {
-        let span = self.rec.begin(names::BUILD);
-        let result = self.build_stage_inner(choice);
-        self.rec.end(span);
-        match result {
+        let _span = socet_obs::span(names::BUILD);
+        match self.build_stage_inner(choice) {
             Ok(()) => {
                 self.choice.clear();
                 self.choice.extend_from_slice(choice);
@@ -453,17 +438,16 @@ impl<'a> Scheduler<'a> {
                     let (old, new) = (self.choice[cid.index()], choice[cid.index()]);
                     if old != new {
                         let written = ccg.step_core(cid, self.data, new)?;
-                        self.rec.record(Counter::CcgIncrementalPatches, 1);
-                        self.rec.record(Counter::CcgEdgesRebuilt, written as u64);
+                        socet_obs::add(Counter::CcgIncrementalPatches, 1);
+                        socet_obs::add(Counter::CcgEdgesRebuilt, written as u64);
                     }
                 }
                 self.ccg = Some(ccg);
             }
             _ => {
                 let ccg = Ccg::try_build(self.soc, self.data, choice)?;
-                self.rec.record(Counter::CcgFullBuilds, 1);
-                self.rec
-                    .record(Counter::CcgEdgesRebuilt, ccg.edges().len() as u64);
+                socet_obs::add(Counter::CcgFullBuilds, 1);
+                socet_obs::add(Counter::CcgEdgesRebuilt, ccg.edges().len() as u64);
                 self.ccg = Some(ccg);
             }
         }
@@ -479,10 +463,8 @@ impl<'a> Scheduler<'a> {
     /// outcome depends only on the other cores' choices; outcomes are
     /// cached under that key and replayed on revisit.
     fn route_stage(&mut self, ccg: &Ccg, choice: &[usize]) -> Result<RoutedPlan, ScheduleError> {
-        let span = self.rec.begin(names::ROUTE);
-        let result = self.route_stage_inner(ccg, choice);
-        self.rec.end(span);
-        result
+        let _span = socet_obs::span(names::ROUTE);
+        self.route_stage_inner(ccg, choice)
     }
 
     fn route_stage_inner(
@@ -502,7 +484,7 @@ impl<'a> Scheduler<'a> {
             let mut key = choice.to_vec();
             key[cid.index()] = usize::MAX;
             if let Some(outcome) = self.route_cache.get(&(cid, key.clone())) {
-                self.rec.record(Counter::RouteCacheHits, 1);
+                socet_obs::add(Counter::RouteCacheHits, 1);
                 routed.merge(outcome);
                 continue;
             }
@@ -562,7 +544,7 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 None => {
-                    self.rec.record(Counter::SystemMuxFallbacks, 1);
+                    socet_obs::add(Counter::SystemMuxFallbacks, 1);
                     push_mux(
                         &mut outcome.muxes,
                         SystemMux {
@@ -598,7 +580,7 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 None => {
-                    self.rec.record(Counter::SystemMuxFallbacks, 1);
+                    socet_obs::add(Counter::SystemMuxFallbacks, 1);
                     push_mux(
                         &mut outcome.muxes,
                         SystemMux {
@@ -621,8 +603,8 @@ impl<'a> Scheduler<'a> {
 
         let (scratch, relaxations, attempts) = router.dismantle();
         self.scratch = Some(scratch);
-        self.rec.record(Counter::DijkstraRelaxations, relaxations);
-        self.rec.record(Counter::RouteAttempts, attempts);
+        socet_obs::add(Counter::DijkstraRelaxations, relaxations);
+        socet_obs::add(Counter::RouteAttempts, attempts);
 
         let ep = &mut outcome.episode;
         let max_in = ep.input_arrivals.iter().map(|(_, a)| *a).max().unwrap_or(0);
@@ -778,6 +760,7 @@ fn push_mux(muxes: &mut Vec<SystemMux>, m: SystemMux) {
 mod tests {
     use super::*;
     use crate::metrics::Metrics;
+    use socet_obs::Recorder;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
 
@@ -1027,12 +1010,16 @@ mod tests {
         let mut sched = Scheduler::new(&soc, &data, &costs);
         // Walk a version ladder up and back down with one engine; every
         // point must be bit-identical to a fresh one-shot schedule.
+        let mut rec = Recorder::new();
         for choice in [[0, 0], [1, 0], [1, 2], [0, 2], [0, 0]] {
-            let reused = sched.evaluate(&choice).unwrap();
+            let reused = {
+                let _sink = rec.install();
+                sched.evaluate(&choice).unwrap()
+            };
             let fresh = schedule(&soc, &data, &choice, &costs);
             assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "at {choice:?}");
         }
-        let m = Metrics::from_recorder(&sched.take_recorder());
+        let m = Metrics::from_recorder(&rec);
         assert_eq!(m.evaluations, 5);
         assert_eq!(m.ccg_full_builds, 1);
         // Four follow-up evaluations, each stepping one or two cores.

@@ -11,16 +11,16 @@
 //!   buffer overflows, so aggregate views never lose time;
 //! * typed **counters** ([`Counter`]) accumulated in a fixed array, each
 //!   with an explicit cross-worker [`MergePolicy`];
-//! * an explicit per-worker [`Recorder`] handle that composes with the
-//!   `std::thread::scope` fan-outs in the preparation pipeline, the fault
-//!   simulator and the design-space sweep: workers [`Recorder::fork`] from
-//!   the parent and the parent folds them back with
-//!   [`Recorder::merge_child`] **in index order**, so counter totals are
-//!   deterministic for any worker count;
-//! * a thread-local sink ([`Recorder::install`]) so deep call sites —
-//!   gate elaboration, HSCAN insertion, version synthesis, the ATPG
-//!   driver — record through the free functions [`span`] and [`add`]
-//!   without threading a recorder parameter through every signature;
+//! * a thread-local sink ([`Recorder::install`]) so every engine — the
+//!   evaluation engine, gate elaboration, HSCAN insertion, version
+//!   synthesis, the ATPG driver — records through the free functions
+//!   [`span`] and [`add`] without threading a recorder parameter through
+//!   every signature;
+//! * one deterministic fan-out, [`fan_out`], used by the preparation
+//!   pipeline, both fault simulators and the design-space sweep: each
+//!   worker records into a fork of the caller's installed recorder, and
+//!   the forks are folded back **in range order**, so results, counter
+//!   totals and the span tree are the same for any worker count;
 //! * two exporters: a machine-readable JSON trace ([`Recorder::to_json`])
 //!   and a collapsed-stack profile ([`Recorder::to_folded`]) consumable by
 //!   standard flamegraph tooling, plus the one human-readable rendering of
@@ -50,6 +50,7 @@
 //! ```
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -399,10 +400,10 @@ pub struct SpanToken {
 /// A structured-event recorder: typed counters plus a bounded span tree.
 ///
 /// `Recorder::default()` is the disabled handle — every operation is a
-/// single branch and records nothing. Workers [`fork`](Recorder::fork)
-/// their own recorder and the parent folds them back with
-/// [`merge_child`](Recorder::merge_child) in index order, which keeps
-/// counter totals deterministic for any worker count.
+/// single branch and records nothing. Parallel work goes through
+/// [`fan_out`], which forks the installed recorder per worker and folds
+/// the forks back in range order, keeping counter totals and the span
+/// tree deterministic for any worker count.
 #[derive(Debug, Default)]
 pub struct Recorder {
     inner: Option<Box<Inner>>,
@@ -433,8 +434,7 @@ impl Recorder {
     }
 
     /// An empty recorder sharing this one's epoch, capacity and
-    /// enabledness — the per-worker handle for `std::thread::scope`
-    /// fan-outs. Merge it back with [`Recorder::merge_child`].
+    /// enabledness. Merge it back with [`Recorder::merge_child`].
     pub fn fork(&self) -> Recorder {
         Recorder {
             inner: self.inner.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
@@ -514,7 +514,7 @@ impl Recorder {
     }
 
     /// Installs this recorder as the thread's sink for the free functions
-    /// [`span`], [`add`] and [`fork_local`]; the returned guard restores
+    /// [`span`], [`add`] and [`fan_out`]; the returned guard restores
     /// the previous sink (and this recorder's buffers) on drop.
     pub fn install(&mut self) -> Installed<'_> {
         let prev = SINK.replace(self.inner.take());
@@ -621,20 +621,78 @@ impl Drop for Span {
     }
 }
 
-/// A fork of the thread's installed recorder (disabled when none is) —
-/// the worker handle to move into a scoped thread. Fold the workers back
-/// with [`adopt`] in spawn order.
-pub fn fork_local() -> Recorder {
-    SINK.with_borrow(|s| match s.as_ref() {
-        Some(inner) => Recorder {
-            inner: Some(Inner::new(inner.epoch, inner.cap)),
-        },
-        None => Recorder::disabled(),
+/// A fork of the thread's installed recorder (disabled when none is).
+fn fork_local() -> Recorder {
+    SINK.with_borrow(|s| Recorder {
+        inner: s.as_ref().map(|inner| Inner::new(inner.epoch, inner.cap)),
     })
 }
 
-/// Merges worker recorders into the thread's installed sink, in the order
-/// given (pass them in worker-index order for deterministic traces).
+/// Runs `f` over `0..n` split into at most `workers` contiguous ranges of
+/// `n.div_ceil(workers)` indices each, and returns the results in range
+/// order.
+///
+/// With one range (`workers <= 1`, or `n` too small to split) `f` runs
+/// inline on the calling thread: no fork, no spawn. Otherwise each range
+/// runs on a scoped thread that records into a fork of the caller's
+/// installed recorder. The forks are made on the calling thread and
+/// adopted into its sink in range order, so the merged counters and span
+/// tree are the same for every worker count whenever `f`'s recording is a
+/// function of its range. A worker's panic is re-raised on the calling
+/// thread with its original payload.
+///
+/// # Examples
+///
+/// ```
+/// use socet_obs::{fan_out, Counter, Recorder};
+///
+/// let mut rec = Recorder::new();
+/// let sums = {
+///     let _sink = rec.install();
+///     fan_out(10, 3, |range| {
+///         socet_obs::add(Counter::ConeGateEvals, range.len() as u64);
+///         range.sum::<usize>()
+///     })
+/// };
+/// assert_eq!(sums, [0 + 1 + 2 + 3, 4 + 5 + 6 + 7, 8 + 9]);
+/// assert_eq!(rec.counter(Counter::ConeGateEvals), 10);
+/// ```
+pub fn fan_out<R: Send>(n: usize, workers: usize, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
+    let chunk = n.div_ceil(workers.max(1)).max(1);
+    if chunk >= n {
+        return vec![f(0..n)];
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                let range = lo..(lo + chunk).min(n);
+                let mut rec = fork_local();
+                s.spawn(move || {
+                    let out = {
+                        let _sink = rec.install();
+                        f(range)
+                    };
+                    (out, rec)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok((out, rec)) => {
+                    adopt([rec]);
+                    out
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    })
+}
+
+/// Merges recorders into the thread's installed sink, in the order given:
+/// their root spans are adopted by the sink's innermost open span.
 pub fn adopt(children: impl IntoIterator<Item = Recorder>) {
     SINK.with_borrow_mut(|s| {
         for mut child in children {
@@ -779,40 +837,71 @@ mod tests {
         assert_eq!(outer.counter(Counter::DiskHits), 2);
     }
 
-    #[test]
-    fn fork_local_and_adopt_compose_with_threads() {
+    /// A worker body whose recording depends only on its range.
+    fn squares(range: Range<usize>) -> Vec<usize> {
+        range
+            .map(|i| {
+                let _s = span("item");
+                add(Counter::ConeGateEvals, i as u64 + 1);
+                add(Counter::Workers, i as u64);
+                i * i
+            })
+            .collect()
+    }
+
+    /// Results, every counter, and each span's root-to-leaf name path.
+    type Run = (Vec<usize>, Vec<u64>, Vec<Vec<&'static str>>);
+
+    fn run_squares(n: usize, workers: usize) -> Run {
         let mut rec = Recorder::new();
         let root = rec.begin("run");
-        {
+        let out = {
             let _g = rec.install();
-            let children: Vec<Recorder> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        let mut worker = fork_local();
-                        s.spawn(move || {
-                            {
-                                let _wg = worker.install();
-                                let _s = span("shard");
-                                add(Counter::ConeGateEvals, i + 1);
-                            }
-                            worker
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker"))
-                    .collect()
-            });
-            adopt(children);
-        }
+            fan_out(n, workers, squares).concat()
+        };
         rec.end(root);
-        assert_eq!(rec.counter(Counter::ConeGateEvals), 1 + 2 + 3 + 4);
-        assert_eq!(rec.span_count("shard"), 4);
-        // Every shard is a child of the run span.
-        for s in rec.spans().iter().filter(|s| s.name == "shard") {
-            assert_eq!(s.parent, Some(0));
+        let spans = rec.spans();
+        let paths = (0..spans.len())
+            .map(|i| {
+                let mut p = Vec::new();
+                let mut cur = Some(i as u32);
+                while let Some(id) = cur {
+                    p.push(spans[id as usize].name);
+                    cur = spans[id as usize].parent;
+                }
+                p
+            })
+            .collect();
+        (out, Counter::ALL.map(|c| rec.counter(c)).to_vec(), paths)
+    }
+
+    #[test]
+    fn fan_out_is_deterministic_for_any_worker_count() {
+        for n in [0, 1, 7, 100] {
+            let serial = run_squares(n, 1);
+            assert_eq!(serial.0, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(serial.2.len(), n + 1, "the root and one span per item");
+            for workers in [2, 3, 8, n + 1] {
+                assert_eq!(run_squares(n, workers), serial, "n {n}, workers {workers}");
+                assert!(fan_out(n, workers, |r| r).len() <= workers);
+            }
         }
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic() {
+        let payload = std::panic::catch_unwind(|| {
+            fan_out(8, 4, |range| {
+                if range.contains(&5) {
+                    panic!("range {range:?} failed");
+                }
+            })
+        })
+        .expect_err("the worker's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("range 4..6 failed")
+        );
     }
 
     #[test]

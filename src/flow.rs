@@ -576,8 +576,9 @@ pub fn prepare_soc_with(
 }
 
 /// The pipeline body. Runs with the caller's recorder installed as the
-/// thread's sink; parallel workers record into forks of it, adopted back
-/// in spawn order so the merged stream is deterministic.
+/// thread's sink; the unique cores fan out through [`socet_obs::fan_out`],
+/// whose workers record into forks of it, adopted back in order so the
+/// merged stream is deterministic.
 fn prepare_soc_inner(
     soc: &Soc,
     costs: &DftCosts,
@@ -596,53 +597,16 @@ fn prepare_soc_inner(
     .max(1);
     socet_obs::add(Counter::Workers, workers as u64);
 
-    let mut results: Vec<Option<Result<CoreArtifact, PrepareCause>>> = Vec::new();
-    results.resize_with(groups.len(), || None);
-
-    if workers <= 1 {
-        for (gi, g) in groups.iter().enumerate() {
-            let cache = cache_dir.map(|d| (d, g.fp));
-            results[gi] = Some(prepare_unique(g.core, costs, tpg, cache));
-        }
-    } else {
-        let chunk = groups.len().div_ceil(workers);
-        let indexed: Vec<(usize, &Group)> = groups.iter().enumerate().collect();
-        let shards = std::thread::scope(|s| {
-            let handles: Vec<_> = indexed
-                .chunks(chunk)
-                .map(|part| {
-                    // Forked on the parent thread so the worker's recorder
-                    // shares the parent's epoch and enabledness.
-                    let mut rec = socet_obs::fork_local();
-                    s.spawn(move || {
-                        let out: Vec<(usize, Result<CoreArtifact, PrepareCause>)> = {
-                            let _sink = rec.install();
-                            part.iter()
-                                .map(|(gi, g)| {
-                                    let cache = cache_dir.map(|d| (d, g.fp));
-                                    (*gi, prepare_unique(g.core, costs, tpg, cache))
-                                })
-                                .collect()
-                        };
-                        (out, rec)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prepare worker panicked"))
+    let results: Vec<Result<CoreArtifact, PrepareCause>> =
+        socet_obs::fan_out(groups.len(), workers, |range| {
+            groups[range]
+                .iter()
+                .map(|g| prepare_unique(g.core, costs, tpg, cache_dir.map(|d| (d, g.fp))))
                 .collect::<Vec<_>>()
-        });
-        // Deterministic merge: shards in spawn order, groups slotted by
-        // index, worker recorders adopted into the caller's in the same
-        // order — the serial and parallel event streams aggregate alike.
-        for (out, rec) in shards {
-            socet_obs::adopt([rec]);
-            for (gi, r) in out {
-                results[gi] = Some(r);
-            }
-        }
-    }
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     // Error semantics match the serial flow: the first instance in
     // declaration order whose group failed is the one reported.
@@ -654,7 +618,7 @@ fn prepare_soc_inner(
     }
     for (i, inst) in soc.cores().iter().enumerate() {
         let Some(gi) = by_instance[i] else { continue };
-        if let Some(Err(e)) = results[gi].as_ref() {
+        if let Err(e) = &results[gi] {
             return Err(PrepareError {
                 core: CoreInstanceId::from_index(i),
                 name: inst.name().to_owned(),
@@ -670,10 +634,7 @@ fn prepare_soc_inner(
     for gi in by_instance {
         match gi {
             Some(gi) => {
-                let artifact = results[gi]
-                    .as_ref()
-                    .and_then(|r| r.as_ref().ok())
-                    .expect("errors handled above");
+                let artifact = results[gi].as_ref().expect("errors handled above");
                 data.push(Some(artifact.data.clone()));
                 netlists.push(Some(artifact.netlist.clone()));
                 tests.push(Some(artifact.tests.clone()));

@@ -1,14 +1,17 @@
 //! Observability-layer integration: the trace a pipeline run records has
-//! the documented span shape, both exporters emit well-formed output, and
-//! recording is observationally inert — it never changes pipeline bytes.
+//! the documented span shape, both exporters emit well-formed output,
+//! recording is observationally inert — it never changes pipeline bytes —
+//! and the one fan-out merges the same trace for any worker count.
 
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
 use socet::cells::DftCosts;
+use socet::core::{plan_inputs, try_schedule};
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
-use socet::obs::{names, Counter, Recorder, SharedRecorder, SpanRec};
+use socet::obs::{fan_out, names, Counter, Recorder, SharedRecorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
 use socet::verify::{verify_soc, VerifyOptions};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -176,6 +179,104 @@ fn replay_trace_shape_and_work_counts() {
             assert_eq!(path(spans, at[0]), want);
         }
     }
+}
+
+#[test]
+fn verify_records_the_schedulers_evaluation() {
+    let soc = socet::socs::barcode_system();
+    let choice = vec![0; soc.cores().len()];
+    let opts = VerifyOptions {
+        max_vectors: Some(4),
+        ..VerifyOptions::default()
+    };
+    let mut rec = Recorder::new();
+    {
+        let _sink = rec.install();
+        verify_soc(&soc, 105, &choice, &opts).expect("oracle runs");
+    }
+    // The scheduler records through the installed sink like every other
+    // engine: one root `evaluate` with its three stages underneath.
+    let spans = rec.spans();
+    let named = |name: &str| -> Vec<usize> {
+        (0..spans.len())
+            .filter(|&i| spans[i].name == name)
+            .collect()
+    };
+    let evaluate = named(names::EVALUATE);
+    assert_eq!(evaluate.len(), 1, "one evaluation per verified point");
+    assert_eq!(path(spans, evaluate[0]), [names::EVALUATE], "a root span");
+    for stage in [names::BUILD, names::ROUTE, names::ASSEMBLE] {
+        let at = named(stage);
+        assert_eq!(at.len(), 1, "one `{stage}` span");
+        assert_eq!(path(spans, at[0]), [names::EVALUATE, stage]);
+    }
+    assert_eq!(rec.counter(Counter::Evaluations), 1);
+    assert!(rec.counter(Counter::RouteAttempts) > 0);
+
+    // With nothing installed the engine records nowhere and schedules the
+    // same point.
+    let costs = DftCosts::default();
+    let data = plan_inputs(&soc, &costs, 105).unwrap();
+    let mut rec = Recorder::new();
+    let recorded = {
+        let _sink = rec.install();
+        try_schedule(&soc, &data, &choice, &costs).unwrap()
+    };
+    let unrecorded = try_schedule(&soc, &data, &choice, &costs).unwrap();
+    assert_eq!(format!("{unrecorded:?}"), format!("{recorded:?}"));
+    assert_eq!(rec.counter(Counter::Evaluations), 1);
+}
+
+/// A fan-out body whose recording depends only on its range.
+fn squares(range: Range<usize>) -> Vec<usize> {
+    range
+        .map(|i| {
+            let _s = socet::obs::span(names::EVALUATE);
+            socet::obs::add(Counter::RouteAttempts, i as u64 + 1);
+            socet::obs::add(Counter::Workers, i as u64);
+            i * i
+        })
+        .collect()
+}
+
+/// Results, every counter, and each span's name path, for one fan-out
+/// under a root span.
+fn fan_out_run(n: usize, workers: usize) -> (Vec<usize>, Vec<u64>, Vec<Vec<&'static str>>) {
+    let mut rec = Recorder::new();
+    let root = rec.begin(names::SWEEP);
+    let out = {
+        let _sink = rec.install();
+        fan_out(n, workers, squares).concat()
+    };
+    rec.end(root);
+    let spans = rec.spans();
+    let paths = (0..spans.len()).map(|i| path(spans, i)).collect();
+    (out, Counter::ALL.map(|c| rec.counter(c)).to_vec(), paths)
+}
+
+#[test]
+fn fan_out_merges_alike_for_any_worker_count() {
+    for n in [0, 1, 7, 100] {
+        let serial = fan_out_run(n, 1);
+        assert_eq!(serial.0, (0..n).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(serial.2.len(), n + 1, "the root and one span per item");
+        for workers in [2, 3, 8, n + 1] {
+            assert_eq!(fan_out_run(n, workers), serial, "n {n}, workers {workers}");
+            assert!(fan_out(n, workers, |r| r).len() <= workers);
+        }
+    }
+    let payload = std::panic::catch_unwind(|| {
+        fan_out(8, 4, |range| {
+            if range.contains(&5) {
+                panic!("range {range:?} failed");
+            }
+        })
+    })
+    .expect_err("a worker's panic reaches the caller");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("range 4..6 failed")
+    );
 }
 
 #[test]
